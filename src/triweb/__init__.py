@@ -6,7 +6,6 @@ hexagon-closure oracle, and verify explicit linearizations end to end.
 """
 
 from .analysis import (
-    CurvatureSample,
     HexagonFigure,
     ParallelizabilityReport,
     blaschke_curvature,
@@ -25,14 +24,7 @@ from .errors import (
 )
 from .expr import Expr, eval_value, parse, to_text
 from .jets import Jet3
-from .kernels import (
-    BACKEND_ENV,
-    HAVE_NUMBA,
-    compile_expr,
-    default_backend,
-    eval_jet3,
-    gradient,
-)
+from .kernels import compile_expr, eval_jet3, gradient
 from .transform import (
     DiffeoReport,
     PlaneMap,

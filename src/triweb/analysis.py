@@ -33,19 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
-from .kernels import (
-    ERR_OK,
-    Program,
-    error_message,
-    jet_coeffs,
-    jet_coeffs_many,
-)
+from .kernels import Program, jet_coeffs, jet_coeffs_or_raise
 from .web import (
     DEFAULT_GRID,
     H_STEP,
     ThreeWeb,
     _advance,
     _GradCollapse,
+    _walk_path,
 )
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
@@ -61,14 +56,14 @@ def _curvature_from_coeffs(fx, fy, fxx, fxy, fyy, fxxy, fxyy):
     return (t1 - t2) / (fx * fy)
 
 
-def blaschke_curvature(web: ThreeWeb, p, backend: str | None = None) -> float:
+def blaschke_curvature(web: ThreeWeb, p) -> float:
     """Curvature of a normal-form web at one admissible point."""
     if not web.is_normal_form:
         raise NormalFormError(
             "curvature is defined for normal-form webs only; "
             "use hexagon_defect for general webs"
         )
-    c = jet_coeffs(web.web_function.program, p[0], p[1], backend=backend)
+    c = jet_coeffs(web.web_function.program, p[0], p[1])
     fx, fy = c[1], c[2]
     if abs(fx) < DEGENERATE_EPS or abs(fy) < DEGENERATE_EPS:
         raise EvalDomainError(
@@ -77,13 +72,6 @@ def blaschke_curvature(web: ThreeWeb, p, backend: str | None = None) -> float:
             (p[0], p[1]),
         )
     return float(_curvature_from_coeffs(fx, fy, c[3], c[4], c[5], c[7], c[8]))
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    x: float
-    y: float
-    K: float
 
 
 @dataclass(frozen=True)
@@ -105,12 +93,6 @@ class ParallelizabilityReport:
         self.ys.setflags(write=False)
         self.kappa.setflags(write=False)
 
-    def samples(self) -> list[CurvatureSample]:
-        return [
-            CurvatureSample(float(x), float(y), float(k))
-            for x, y, k in zip(self.xs, self.ys, self.kappa)
-        ]
-
     def to_dict(self) -> dict:
         return {
             "parallelizable": bool(self.parallelizable),
@@ -125,7 +107,6 @@ class ParallelizabilityReport:
 def curvature_grid(
     web: ThreeWeb,
     grid: tuple[int, int] = DEFAULT_GRID,
-    backend: str | None = None,
 ):
     """K at every admissible grid point; raises on evaluation failures or
     degenerate directions, naming the point."""
@@ -133,18 +114,10 @@ def curvature_grid(
         raise NormalFormError("curvature grid requires a normal-form web")
     nx, ny = grid
     xs, ys = web.domain.grid(nx, ny)
-    mask = web.domain.admissible_mask(xs, ys, backend=backend)
+    mask = web.domain.admissible_mask(xs, ys)
     xs, ys = xs[mask], ys[mask]
     prog = web.web_function.program
-    out, codes, opidx = jet_coeffs_many(prog, xs, ys, backend=backend)
-    bad = np.nonzero(codes != ERR_OK)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise EvalDomainError(
-            error_message(prog, int(codes[i]), int(opidx[i])),
-            prog.source,
-            (float(xs[i]), float(ys[i])),
-        )
+    out = jet_coeffs_or_raise(prog, xs, ys)
     fx, fy = out[:, 1], out[:, 2]
     degen = np.nonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))[0]
     if degen.size:
@@ -164,11 +137,10 @@ def parallelizability_report(
     web: ThreeWeb,
     grid: tuple[int, int] = DEFAULT_GRID,
     tol: float = 1e-8,
-    backend: str | None = None,
 ) -> ParallelizabilityReport:
     """Verdict "parallelizable" iff max |K| over the admissible grid is
     within tol of zero."""
-    xs, ys, kappa = curvature_grid(web, grid=grid, backend=backend)
+    xs, ys, kappa = curvature_grid(web, grid=grid)
     absk = np.abs(kappa)
     return ParallelizabilityReport(
         parallelizable=bool(absk.max() <= tol),
@@ -209,33 +181,11 @@ class HexagonFigure:
             leg.setflags(write=False)
 
 
-def _value(program: Program, x: float, y: float, backend) -> float:
-    return float(jet_coeffs(program, x, y, backend=backend)[0])
+def _value(program: Program, x: float, y: float) -> float:
+    return float(jet_coeffs(program, x, y)[0])
 
 
-def _walk_collect(program, level, x, y, arc, domain, backend):
-    """Walk a signed arc along a leaf, returning every intermediate point."""
-    h = math.copysign(H_STEP, arc)
-    n_full = int(abs(arc) / H_STEP + 1e-12)
-    rest = abs(arc) - n_full * H_STEP
-    steps = [h] * n_full
-    if rest > 1e-12:
-        steps.append(math.copysign(rest, arc))
-    path = [(x, y)]
-    for ds in steps:
-        try:
-            x, y, converged = _advance(program, level, x, y, ds, backend)
-        except _GradCollapse:
-            raise TraceError(f"gradient collapse walking leaf near ({x}, {y})") from None
-        if not converged:
-            raise TraceError(f"level projection stalled near ({x}, {y})")
-        if not domain.admissible((x, y), backend=backend):
-            raise TraceError(f"walk left the admissible domain at ({x}, {y})")
-        path.append((x, y))
-    return path
-
-
-def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, backend):
+def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     """Follow the leg foliation's leaf through ``start`` until it crosses
     the target foliation's level set u_target = target_level.
 
@@ -247,8 +197,8 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, ba
     leg_prog = web.foliation(leg_index).program
     tgt_prog = web.foliation(target_index).program
     x0, y0 = start
-    leg_level = _value(leg_prog, x0, y0, backend)
-    phi0 = _value(tgt_prog, x0, y0, backend) - target_level
+    leg_level = _value(leg_prog, x0, y0)
+    phi0 = _value(tgt_prog, x0, y0) - target_level
     if abs(phi0) <= HEX_NEWTON_TOL:
         raise HexagonError(
             f"leg {leg_index}->{target_index} starts on its target level at ({x0}, {y0})"
@@ -263,13 +213,13 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, ba
         path = [(x0, y0)]
         for k in range(1, n_steps + 1):
             try:
-                xn, yn, converged = _advance(leg_prog, leg_level, x, y, h, backend)
+                xn, yn, converged = _advance(leg_prog, leg_level, x, y, h)
             except (_GradCollapse, EvalDomainError):
                 break
-            if not converged or not domain.admissible((xn, yn), backend=backend):
+            if not converged or not domain.admissible((xn, yn)):
                 break
             path.append((xn, yn))
-            phi_new = _value(tgt_prog, xn, yn, backend) - target_level
+            phi_new = _value(tgt_prog, xn, yn) - target_level
             if phi_prev * phi_new <= 0.0:
                 if bracket is None or k < bracket[0]:
                     bracket = (k, h, path, phi_prev, phi_new)
@@ -293,8 +243,8 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, ba
     for _ in range(60):
         if abs(f_q) <= HEX_NEWTON_TOL:
             break
-        cj = jet_coeffs(leg_prog, q[0], q[1], backend=backend)
-        tj = jet_coeffs(tgt_prog, q[0], q[1], backend=backend)
+        cj = jet_coeffs(leg_prog, q[0], q[1])
+        tj = jet_coeffs(tgt_prog, q[0], q[1])
         norm = math.hypot(cj[1], cj[2])
         slope = (tj[1] * cj[2] - tj[2] * cj[1]) / norm if norm > 0 else 0.0
         s_new = s_q - f_q / slope if slope != 0.0 else 0.5 * (s_a + s_b)
@@ -302,13 +252,13 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, ba
         if not (lo < s_new < hi):
             s_new = 0.5 * (s_a + s_b)
         try:
-            xq, yq, converged = _advance(leg_prog, leg_level, q[0], q[1], s_new - s_q, backend)
+            xq, yq, converged = _advance(leg_prog, leg_level, q[0], q[1], s_new - s_q)
         except _GradCollapse:
             raise HexagonError("gradient collapse while refining a leg crossing") from None
         if not converged:
             raise HexagonError("level projection stalled while refining a leg crossing")
         q, s_q = (xq, yq), s_new
-        f_q = _value(tgt_prog, xq, yq, backend) - target_level
+        f_q = _value(tgt_prog, xq, yq) - target_level
         if (f_q < 0) == (f_a < 0):
             s_a, f_a = s_q, f_q
         else:
@@ -320,7 +270,7 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc, ba
     else:
         raise HexagonError("leg crossing refinement did not converge")
 
-    if not domain.admissible(q, backend=backend):
+    if not domain.admissible(q):
         raise HexagonError(f"leg endpoint ({q[0]:g}, {q[1]:g}) is inadmissible")
     path[-1] = q
     return q, path
@@ -331,7 +281,6 @@ def hexagon_defect(
     center,
     radius: float,
     max_leg_arc: float | None = None,
-    backend: str | None = None,
 ) -> HexagonFigure:
     """Walk the closure hexagon of ``web`` around ``center``.
 
@@ -344,18 +293,15 @@ def hexagon_defect(
     if radius <= 0:
         raise HexagonError("hexagon radius must be positive")
     O = (float(center[0]), float(center[1]))
-    if not web.domain.admissible(O, backend=backend):
+    if not web.domain.admissible(O):
         raise HexagonError(f"hexagon center {O} is not admissible")
     if max_leg_arc is None:
         max_leg_arc = 6.0 * radius + 0.25
 
-    levels = [fol.value(O, backend=backend) for fol in web.foliations]
+    levels = [fol.value(O) for fol in web.foliations]
 
-    f1 = web.foliation(1)
     try:
-        leg0 = _walk_collect(
-            f1.program, levels[0], O[0], O[1], radius, web.domain, backend
-        )
+        leg0 = _walk_path(web.foliation(1).program, levels[0], O[0], O[1], radius, web.domain)
     except TraceError as exc:
         raise HexagonError(f"radius walk failed: {exc}") from None
 
@@ -364,13 +310,7 @@ def hexagon_defect(
     current = leg0[-1]
     for leg_index, target_index in _LEG_PATTERN:
         current, path = _leg_to_level(
-            web,
-            leg_index,
-            target_index,
-            current,
-            levels[target_index - 1],
-            max_leg_arc,
-            backend,
+            web, leg_index, target_index, current, levels[target_index - 1], max_leg_arc
         )
         points.append(current)
         legs.append(np.array(path, dtype=float))

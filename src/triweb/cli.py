@@ -46,7 +46,7 @@ from .outputs import (
     write_leaf_csv,
     write_svg,
 )
-from .transform import PlaneMap, identity_map
+from .transform import DEFAULT_DIFFEO_TOL, PlaneMap, identity_map
 from .verify import (
     DEFAULT_LINE_FORMULA_TOL,
     DEFAULT_LINEARITY_TOL,
@@ -92,7 +92,7 @@ class RunConfig:
     max_arc: float = DEFAULT_MAX_ARC
     tol_linearity: float = DEFAULT_LINEARITY_TOL
     tol_curvature: float = 1e-8
-    tol_diffeo: float = 1e-6
+    tol_diffeo: float = DEFAULT_DIFFEO_TOL
     tol_line: float = DEFAULT_LINE_FORMULA_TOL
     out: Path = field(default_factory=lambda: Path("out"))
     map_spec: tuple[str, ...] | None = None
@@ -418,6 +418,7 @@ def _cmd_verify_theorem(args) -> int:
         grid=cfg.grid,
         map_override=cfg.build_map(),
         max_arc=cfg.max_arc,
+        diffeo_tol=cfg.tol_diffeo,
     )
     _write_pipeline_outputs(cfg, web, report)
     _print_pipeline_summary(report)
@@ -437,6 +438,7 @@ def _cmd_verify_map(args) -> int:
         tol=cfg.tol_linearity,
         grid=cfg.grid,
         max_arc=cfg.max_arc,
+        diffeo_tol=cfg.tol_diffeo,
     )
     _write_pipeline_outputs(cfg, web, report)
     _print_pipeline_summary(report)
@@ -457,6 +459,7 @@ def _cmd_family(args) -> int:
         line_tol=cfg.tol_line,
         grid=cfg.grid,
         max_arc=cfg.max_arc,
+        diffeo_tol=cfg.tol_diffeo,
     )
     web = family_web(cfg.family_a, cfg.family_b, domain)
     _write_pipeline_outputs(cfg, web, report)

@@ -1,77 +1,33 @@
-"""Compiled evaluation of expressions as third-order jets.
+"""Order-3 jets of expressions, compiled to straight-line Python.
 
-An :class:`~triweb.expr.Expr` is flattened once into a stack program (a
-"tape" of opcodes plus immediates), and the tape is executed on a stack
-of raw 10-coefficient jet vectors.  Two interchangeable executors are
-provided:
-
-* numba ``@njit`` kernels, the default when numba imports; these carry
-  the hot inner loops of leaf tracing, hexagon traversal, and grid
-  reports;
-* a vectorized pure-numpy fallback with identical semantics, selected by
-  setting the environment variable ``TRIWEB_BACKEND=numpy`` (or
-  ``numba`` to force the JIT path and fail loudly if it is missing).
-
-Unary functions are composed through order 3 by Horner evaluation of
-g(u0) + g'(u0) du + g''(u0)/2 du^2 + g'''(u0)/6 du^3 in jet arithmetic,
-where du is the input jet with its value slot zeroed; division goes
-through the same composition with g(t) = 1/t.  ``^`` with a literal
-integer exponent uses repeated multiplication; any other exponent is
-compiled as exp(b*ln(a)) and inherits the ln domain restriction.
-
-All functions here are pure and all compiled programs immutable, so
-concurrent use needs no coordination.
+:func:`compile_expr` walks an :class:`~triweb.expr.Expr` once and emits
+Taylor-mode automatic differentiation as straight-line code for the ten
+jet slots of :mod:`triweb.jets` (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
+be zero.  The same code runs on Python floats (:func:`jet_coeffs`) and on
+numpy arrays (:func:`jet_coeffs_many`), calling numpy's elementary
+functions in both, so a batch row equals the single-point result bit for
+bit.  Every op checks its domain and the finiteness of its result: a
+point raises :class:`EvalDomainError` naming the op's source fragment, a
+batch records the first failing op per point.  Programs are immutable and
+all functions pure, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, EvalDomainError
+from .errors import EvalDomainError
 from .expr import BinOp, Call, Const, Expr, Neg, Var, parse, to_text
-from .jets import JET_SIZE, PROD_A, PROD_B, PROD_N, PROD_OUT, PROD_W, Jet3
+from .jets import JET_ORDERS, JET_SIZE, PROD_A, PROD_B, PROD_OUT, PROD_W, Jet3
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-BACKEND_ENV = "TRIWEB_BACKEND"
-BACKENDS = ("numba", "numpy")
-
-# opcodes
-OP_CONST = 0
-OP_X = 1
-OP_Y = 2
-OP_ADD = 3
-OP_SUB = 4
-OP_MUL = 5
-OP_DIV = 6
-OP_NEG = 7
-OP_POWI = 8
-OP_EXP = 9
-OP_LN = 10
-OP_SIN = 11
-OP_COS = 12
-OP_SQRT = 13
-
-# error codes shared by both executors
+# error codes of jet_coeffs_many
 ERR_OK = 0
 ERR_DIV_ZERO = 1
 ERR_LN_DOMAIN = 2
@@ -86,521 +42,288 @@ _ERR_TEXT = {
 }
 
 _MAX_INT_EXPONENT = 1000
+_CHUNK = 16384  # points per batch pass, so the temporaries stay in cache
+
+_ORDER = tuple(i + j for i, j in JET_ORDERS)
+# Leibniz rows (a, b, weight) summed into each product slot
+_PRODUCT = list(zip(PROD_OUT, PROD_A, PROD_B, PROD_W))
+_ROWS = tuple(
+    [(int(a), int(b), float(w)) for o, a, b, w in _PRODUCT if o == k] for k in range(JET_SIZE)
+)
+_ZERO = (0.0,) * JET_SIZE
+
+# g(v), g'(v), g''(v)/2 and g'''(v)/6 as g0..g3, and the domain test on v
+_UNARY = {
+    "exp": ("g0 = exp(v); g1 = g0; g2 = 0.5*g0; g3 = g0/6.0", None),
+    "ln": ("g0 = log(v); g1 = 1.0/v; r = g1*g1; g2 = -0.5*r; g3 = r*g1/3.0", ERR_LN_DOMAIN),
+    "sqrt": ("g0 = sqrt(v); g1 = 0.5/g0; g2 = -0.25*g1/v; g3 = -0.5*g2/v", ERR_SQRT_DOMAIN),
+    "sin": ("g0 = sin(v); g1 = cos(v); g2 = -0.5*g0; g3 = -g1/6.0", None),
+    "cos": ("g0 = cos(v); s = sin(v); g1 = -s; g2 = -0.5*g0; g3 = s/6.0", None),
+    "recip": ("g0 = 1.0/v; r = g0*g0; g1 = -r; g2 = r*g0; g3 = -r*r", ERR_DIV_ZERO),
+}
+_LOCAL = re.compile(r"\b(v|g[0-3]|r|s)\b")
+_TEMP = re.compile(r"t\d+")
 
 
-def default_backend() -> str:
-    """Backend chosen by the TRIWEB_BACKEND environment variable, falling
-    back to numba when available."""
-    v = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if v == "numba":
-        if not HAVE_NUMBA:
-            raise ConfigError("TRIWEB_BACKEND=numba but numba is not importable")
-        return "numba"
-    if v == "numpy":
-        return "numpy"
-    if v:
-        raise ConfigError(f"unknown TRIWEB_BACKEND value {v!r}; use numba or numpy")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Tape compilation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Program:
-    """Flattened evaluation plan for one expression."""
-
-    ops: np.ndarray  # int64 opcodes
-    imm: np.ndarray  # int64 immediates (const index or integer exponent)
-    consts: np.ndarray  # float64 literal pool
-    frags: tuple  # per-op source fragment, for error attribution
-    depth: int  # maximum stack height
-    source: str  # printable form of the whole expression
-
-    def __len__(self) -> int:
-        return int(self.ops.shape[0])
+def _lit(v: float) -> str:
+    r = repr(float(v))
+    return f"({r})" if r.startswith("-") else r
 
 
 def _int_exponent(e: Expr):
     """Literal integer exponent of a power node, or None."""
-    neg = False
-    if isinstance(e, Neg):
-        e, neg = e.child, True
+    sign, e = (-1, e.child) if isinstance(e, Neg) else (1, e)
     if isinstance(e, Const) and float(e.value).is_integer():
-        n = int(e.value)
-        return -n if neg else n
+        return sign * int(e.value)
     return None
 
 
+class _Emitter:
+    """The source of one expression's jet code.  A jet is a tuple of ten
+    slots, each a float known at generation time or the name of a value.
+    Products follow the Leibniz table; unary functions and reciprocals are
+    composed by Horner in du = u - u0 of the Taylor polynomial
+    g(u0) + g'(u0) du + g''(u0)/2 du^2 + g'''(u0)/6 du^3.  The generated
+    source holds only generated names and float literals."""
+
+    def __init__(self, source: str | None):
+        self.source = source
+        self.lines = ["def jet(x, y, check):"]
+        self.frags: list[str] = []
+
+    def let(self, code: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {code}")
+        return name
+
+    def op(self, node: Expr) -> int:
+        lo, hi = node.span
+        use_span = self.source is not None and lo >= 0
+        self.frags.append(self.source[lo:hi] if use_span else to_text(node))
+        return len(self.frags) - 1
+
+    def domain(self, v, code: int, k: int):
+        """Check an op's argument; a literal that fails goes on as nan."""
+        test = "==" if code == ERR_DIV_ZERO else "<="
+        arg = v if isinstance(v, str) else _lit(v)
+        self.lines.append(f"    check({arg} {test} 0.0, {code}, {k})")
+        failed = not isinstance(v, str) and (v == 0.0 if test == "==" else v <= 0.0)
+        return math.nan if failed else v
+
+    def finite(self, jet, k: int):
+        # 0*v is a zero for finite v and nan otherwise, and never overflows
+        if not all(math.isfinite(v) for v in jet if not isinstance(v, str)):
+            self.lines.append(f"    check(True, {ERR_NOT_FINITE}, {k})")
+        names = dict.fromkeys(v for v in jet if isinstance(v, str))
+        if names:
+            zeros = " + ".join(f"0.0*{v}" for v in names)
+            self.lines.append(f"    check({zeros} != 0.0, {ERR_NOT_FINITE}, {k})")
+
+    def total(self, terms):
+        """Slot holding the sum of (coefficient, factor names) terms."""
+        lit = sum(c for c, fs in terms if not fs)
+        live = [(c, fs) for c, fs in terms if fs and c != 0.0]
+        if not live:
+            return lit
+        if lit == 0.0 and len(live) == 1 and live[0][0] == 1.0 and len(live[0][1]) == 1:
+            return live[0][1][0]
+        signs = {1.0: "", -1.0: "-"}
+        code = " + ".join(signs.get(c, _lit(c) + "*") + "*".join(fs) for c, fs in live)
+        return self.let(code + (f" + {_lit(lit)}" if lit != 0.0 else ""))
+
+    @staticmethod
+    def term(v, c: float = 1.0):
+        return (c, [v]) if isinstance(v, str) else (c * v, [])
+
+    def mul(self, a, b, upto: int = 3):
+        """Truncated product; slots above order ``upto`` are left zero."""
+        out = []
+        for k in range(JET_SIZE):
+            terms = []
+            for i, j, w in _ROWS[k] if _ORDER[k] <= upto else ():
+                ci, fi = self.term(a[i], w)
+                cj, fj = self.term(b[j], ci)
+                terms.append((cj, fi + fj))
+            out.append(self.total(terms))
+        return tuple(out)
+
+    def unary(self, fn: str, u, k: int):
+        recipe, code = _UNARY[fn]
+        v = self.domain(u[0], code, k) if code else u[0]
+        local = {"v": v if isinstance(v, str) else _lit(v)}
+        for stmt in recipe.split("; "):
+            name, expr = stmt.split(" = ")
+            expr = _LOCAL.sub(lambda m: local[m.group()], expr)
+            local[name] = expr if _TEMP.fullmatch(expr) else self.let(expr)
+        du = (0.0,) + tuple(u[1:])
+        acc = (local["g3"],) + _ZERO[1:]
+        for upto, g in ((1, "g2"), (2, "g1"), (3, "g0")):
+            acc = (local[g],) + self.mul(acc, du, upto)[1:]
+        return acc
+
+    def power(self, u, n: int, k: int):
+        if abs(n) > _MAX_INT_EXPONENT:
+            raise ValueError(
+                f"integer exponent {n} exceeds the supported magnitude {_MAX_INT_EXPONENT}"
+            )
+        m, base, acc = abs(n), u, (1.0,) + _ZERO[1:]
+        while m:
+            if m & 1:
+                acc = self.mul(acc, base)
+            m >>= 1
+            base = self.mul(base, base) if m else base
+        return self.unary("recip", acc, k) if n < 0 else acc
+
+    def jet(self, node: Expr):
+        """Emit the ops of ``node`` in postorder; returns its jet."""
+        if isinstance(node, Neg):
+            a = self.jet(node.child)
+            self.op(node)  # negation keeps finite coefficients finite
+            return tuple(self.total([self.term(v, -1.0)]) for v in a)
+        if isinstance(node, Const):
+            k, j = self.op(node), (float(node.value),) + _ZERO[1:]
+        elif isinstance(node, Var):
+            k, v = self.op(node), "xy"[node.axis]
+            j = ((v, 1.0, 0.0) if node.axis == 0 else (v, 0.0, 1.0)) + _ZERO[3:]
+        elif isinstance(node, Call):
+            a = self.jet(node.arg)
+            k = self.op(node)
+            j = self.unary(node.fn, a, k)
+        elif isinstance(node, BinOp) and node.op == "^":
+            n = _int_exponent(node.right)
+            a = self.jet(node.left)
+            k = self.op(node)
+            if n is not None:
+                j = self.power(a, n, k)
+            else:
+                # a^b -> exp(b*ln(a)); every op is blamed on the power node
+                j = self.unary("ln", a, k)
+                self.finite(j, k)
+                j = self.mul(j, self.jet(node.right))
+                k = self.op(node)
+                self.finite(j, k)
+                k = self.op(node)
+                j = self.unary("exp", j, k)
+        elif isinstance(node, BinOp):
+            a, b = self.jet(node.left), self.jet(node.right)
+            k = self.op(node)
+            if node.op in "+-":
+                sign = 1.0 if node.op == "+" else -1.0
+                j = tuple(self.total([self.term(p), self.term(q, sign)]) for p, q in zip(a, b))
+            else:
+                j = self.mul(a, b if node.op == "*" else self.unary("recip", b, k))
+        else:
+            raise TypeError(f"not an Expr: {node!r}")
+        self.finite(j, k)
+        return j
+
+
+def _exp_point(v: float) -> float:
+    if v > 709.0:  # near overflow, where numpy would warn
+        with np.errstate(over="ignore"):
+            return float(np.exp(v))
+    return float(np.exp(v))
+
+
+# numpy's functions in both bindings, so batch and point agree bit for bit
+_POINT_NAMES = {
+    fn: (lambda v, f=getattr(np, fn): float(f(v))) for fn in ("log", "sin", "cos", "sqrt")
+}
+_POINT_NAMES.update(inf=math.inf, nan=math.nan, exp=_exp_point)
+_ARRAY_NAMES = dict(_POINT_NAMES, exp=np.exp, log=np.log, sin=np.sin, cos=np.cos, sqrt=np.sqrt)
+
+
+@dataclass(frozen=True)
+class Program:
+    """Generated order-3 jet code for one expression."""
+
+    frags: tuple  # per-op source fragment, for error attribution
+    source: str  # printable form of the whole expression
+    code: str  # the generated Python source
+    at_point: Callable = field(repr=False, compare=False)
+    on_arrays: Callable = field(repr=False, compare=False)
+
+
 def compile_expr(e: Expr | str, source: str | None = None) -> Program:
-    """Flatten an expression (or expression text) into a Program."""
+    """Generate and compile the jet code of an expression (or its text)."""
     if isinstance(e, str):
         source = e
         e = parse(e)
-
-    ops: list[int] = []
-    imm: list[int] = []
-    consts: list[float] = []
-    frags: list[str] = []
-
-    def frag(node: Expr) -> str:
-        lo, hi = node.span
-        if source is not None and lo >= 0:
-            return source[lo:hi]
-        return to_text(node)
-
-    def emit(op: int, node: Expr, immediate: int = 0):
-        ops.append(op)
-        imm.append(immediate)
-        frags.append(frag(node))
-
-    def rec(node: Expr):
-        if isinstance(node, Const):
-            consts.append(float(node.value))
-            emit(OP_CONST, node, len(consts) - 1)
-        elif isinstance(node, Var):
-            emit(OP_X if node.axis == 0 else OP_Y, node)
-        elif isinstance(node, Neg):
-            rec(node.child)
-            emit(OP_NEG, node)
-        elif isinstance(node, Call):
-            rec(node.arg)
-            emit(
-                {
-                    "exp": OP_EXP,
-                    "ln": OP_LN,
-                    "sin": OP_SIN,
-                    "cos": OP_COS,
-                    "sqrt": OP_SQRT,
-                }[node.fn],
-                node,
-            )
-        elif isinstance(node, BinOp):
-            if node.op == "^":
-                n = _int_exponent(node.right)
-                if n is not None:
-                    if abs(n) > _MAX_INT_EXPONENT:
-                        raise ValueError(
-                            f"integer exponent {n} exceeds the supported "
-                            f"magnitude {_MAX_INT_EXPONENT}"
-                        )
-                    rec(node.left)
-                    emit(OP_POWI, node, n)
-                else:
-                    # a^b -> exp(b*ln(a)); every synthesized op is blamed
-                    # on the power node
-                    rec(node.left)
-                    emit(OP_LN, node)
-                    rec(node.right)
-                    emit(OP_MUL, node)
-                    emit(OP_EXP, node)
-                return
-            rec(node.left)
-            rec(node.right)
-            emit(
-                {"+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV}[node.op],
-                node,
-            )
-        else:
-            raise TypeError(f"not an Expr: {node!r}")
-
-    rec(e)
-
-    depth = 0
-    height = 0
-    for op in ops:
-        if op in (OP_CONST, OP_X, OP_Y):
-            height += 1
-        elif op in (OP_ADD, OP_SUB, OP_MUL, OP_DIV):
-            height -= 1
-        depth = max(depth, height)
-
-    return Program(
-        ops=np.asarray(ops, dtype=np.int64),
-        imm=np.asarray(imm, dtype=np.int64),
-        consts=np.asarray(consts, dtype=np.float64),
-        frags=tuple(frags),
-        depth=depth,
-        source=source if source is not None else to_text(e),
-    )
+    em = _Emitter(source)
+    result = em.jet(e)
+    slots = ", ".join(v if isinstance(v, str) else _lit(v) for v in result)
+    code = "\n".join(em.lines + [f"    return ({slots})"]) + "\n"
+    compiled = compile(code, "<triweb jet>", "exec")
+    bound = []
+    for names in (_POINT_NAMES, _ARRAY_NAMES):
+        namespace = dict(names)
+        exec(compiled, namespace)
+        bound.append(namespace["jet"])
+    source = source if source is not None else to_text(e)
+    return Program(tuple(em.frags), source, code, bound[0], bound[1])
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
+class _Failure(Exception):
+    """Internal: (code, op index) of the op that failed at a single point."""
 
 
-@njit(cache=True)
-def _mul10(out, a, b):
-    for j in range(10):
-        out[j] = 0.0
-    for t in range(PROD_N):
-        out[PROD_OUT[t]] += PROD_W[t] * a[PROD_A[t]] * b[PROD_B[t]]
+def _raise(bad, code: int, k: int) -> None:
+    """Check hook of the point binding."""
+    if bad:
+        raise _Failure(code, k)
 
 
-@njit(cache=True)
-def _compose10(u, g0, g1, g2, g3, sa, sb):
-    # u <- g(u) truncated at order 3, via Horner in the zero-value part
-    u[0] = 0.0
-    for j in range(10):
-        sa[j] = 0.0
-    sa[0] = g3 / 6.0
-    _mul10(sb, sa, u)
-    sb[0] += g2 / 2.0
-    _mul10(sa, sb, u)
-    sa[0] += g1
-    _mul10(sb, sa, u)
-    sb[0] += g0
-    for j in range(10):
-        u[j] = sb[j]
+def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:
+    """Check hook of the array binding: keeps the first failing op per point."""
+    new = bad & (opidx < 0)
+    codes[new] = code
+    opidx[new] = k
 
 
-@njit(cache=True)
-def _run_single(ops, imm, consts, x, y, out, stack, sa, sb, sc):
-    sp = 0
-    for k in range(ops.shape[0]):
-        op = ops[k]
-        if op == OP_CONST:
-            for j in range(10):
-                stack[sp, j] = 0.0
-            stack[sp, 0] = consts[imm[k]]
-            sp += 1
-        elif op == OP_X:
-            for j in range(10):
-                stack[sp, j] = 0.0
-            stack[sp, 0] = x
-            stack[sp, 1] = 1.0
-            sp += 1
-        elif op == OP_Y:
-            for j in range(10):
-                stack[sp, j] = 0.0
-            stack[sp, 0] = y
-            stack[sp, 2] = 1.0
-            sp += 1
-        elif op == OP_ADD:
-            for j in range(10):
-                stack[sp - 2, j] += stack[sp - 1, j]
-            sp -= 1
-        elif op == OP_SUB:
-            for j in range(10):
-                stack[sp - 2, j] -= stack[sp - 1, j]
-            sp -= 1
-        elif op == OP_MUL:
-            _mul10(sa, stack[sp - 2], stack[sp - 1])
-            for j in range(10):
-                stack[sp - 2, j] = sa[j]
-            sp -= 1
-        elif op == OP_DIV:
-            v0 = stack[sp - 1, 0]
-            if v0 == 0.0:
-                return ERR_DIV_ZERO, k
-            _compose10(
-                stack[sp - 1],
-                1.0 / v0,
-                -1.0 / (v0 * v0),
-                2.0 / (v0 * v0 * v0),
-                -6.0 / (v0 * v0 * v0 * v0),
-                sa,
-                sb,
-            )
-            _mul10(sa, stack[sp - 2], stack[sp - 1])
-            for j in range(10):
-                stack[sp - 2, j] = sa[j]
-            sp -= 1
-        elif op == OP_NEG:
-            for j in range(10):
-                stack[sp - 1, j] = -stack[sp - 1, j]
-        elif op == OP_POWI:
-            n = imm[k]
-            u = stack[sp - 1]
-            if n == 0:
-                for j in range(10):
-                    u[j] = 0.0
-                u[0] = 1.0
-            else:
-                m = n if n > 0 else -n
-                for j in range(10):
-                    sc[j] = u[j]
-                for _ in range(m - 1):
-                    _mul10(sa, sc, u)
-                    for j in range(10):
-                        sc[j] = sa[j]
-                if n < 0:
-                    v0 = sc[0]
-                    if v0 == 0.0:
-                        return ERR_DIV_ZERO, k
-                    _compose10(
-                        sc,
-                        1.0 / v0,
-                        -1.0 / (v0 * v0),
-                        2.0 / (v0 * v0 * v0),
-                        -6.0 / (v0 * v0 * v0 * v0),
-                        sa,
-                        sb,
-                    )
-                for j in range(10):
-                    u[j] = sc[j]
-        elif op == OP_EXP:
-            g = math.exp(stack[sp - 1, 0])
-            _compose10(stack[sp - 1], g, g, g, g, sa, sb)
-        elif op == OP_LN:
-            v0 = stack[sp - 1, 0]
-            if v0 <= 0.0:
-                return ERR_LN_DOMAIN, k
-            _compose10(
-                stack[sp - 1],
-                math.log(v0),
-                1.0 / v0,
-                -1.0 / (v0 * v0),
-                2.0 / (v0 * v0 * v0),
-                sa,
-                sb,
-            )
-        elif op == OP_SIN:
-            s = math.sin(stack[sp - 1, 0])
-            c = math.cos(stack[sp - 1, 0])
-            _compose10(stack[sp - 1], s, c, -s, -c, sa, sb)
-        elif op == OP_COS:
-            s = math.sin(stack[sp - 1, 0])
-            c = math.cos(stack[sp - 1, 0])
-            _compose10(stack[sp - 1], c, -s, -c, s, sa, sb)
-        elif op == OP_SQRT:
-            v0 = stack[sp - 1, 0]
-            if v0 <= 0.0:
-                return ERR_SQRT_DOMAIN, k
-            s = math.sqrt(v0)
-            _compose10(
-                stack[sp - 1],
-                s,
-                0.5 / s,
-                -0.25 / (s * v0),
-                0.375 / (s * v0 * v0),
-                sa,
-                sb,
-            )
-        for j in range(10):
-            if not math.isfinite(stack[sp - 1, j]):
-                return ERR_NOT_FINITE, k
-    for j in range(10):
-        out[j] = stack[0, j]
-    return ERR_OK, -1
-
-
-@njit(cache=True)
-def _run_single_alloc(ops, imm, consts, depth, x, y):
-    out = np.empty(10)
-    stack = np.empty((depth, 10))
-    sa = np.empty(10)
-    sb = np.empty(10)
-    sc = np.empty(10)
-    code, at = _run_single(ops, imm, consts, x, y, out, stack, sa, sb, sc)
-    return code, at, out
-
-
-@njit(cache=True)
-def _run_batch(ops, imm, consts, depth, xs, ys):
-    n = xs.shape[0]
-    out = np.empty((n, 10))
-    codes = np.empty(n, dtype=np.int64)
-    opidx = np.empty(n, dtype=np.int64)
-    stack = np.empty((depth, 10))
-    sa = np.empty(10)
-    sb = np.empty(10)
-    sc = np.empty(10)
-    for i in range(n):
-        code, at = _run_single(
-            ops, imm, consts, xs[i], ys[i], out[i], stack, sa, sb, sc
-        )
-        codes[i] = code
-        opidx[i] = at
-    return out, codes, opidx
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy fallback (vectorized across evaluation points)
-# ---------------------------------------------------------------------------
-
-
-# scatter matrix folding the Leibniz weights: row k collects the product
-# terms that land in jet slot k, so a truncated product is one matmul
-_SCATTER = np.zeros((JET_SIZE, PROD_N))
-_SCATTER[PROD_OUT, np.arange(PROD_N)] = PROD_W
-
-
-def _mul10_np(a, b):
-    return _SCATTER @ (a[PROD_A] * b[PROD_B])
-
-
-def _compose10_np(u, g0, g1, g2, g3):
-    u = u.copy()
-    u[0] = 0.0
-    acc = np.zeros_like(u)
-    acc[0] = g3 / 6.0
-    acc = _mul10_np(acc, u)
-    acc[0] += g2 / 2.0
-    acc = _mul10_np(acc, u)
-    acc[0] += g1
-    acc = _mul10_np(acc, u)
-    acc[0] += g0
-    return acc
-
-
-def _run_batch_numpy(ops, imm, consts, depth, xs, ys):
-    n = xs.shape[0]
-    stack = np.zeros((depth, 10, n))
-    codes = np.zeros(n, dtype=np.int64)
-    opidx = np.full(n, -1, dtype=np.int64)
-    ok = np.ones(n, dtype=bool)
-
-    def fail(mask, code, k):
-        new = mask & ok
-        codes[new] = code
-        opidx[new] = k
-        ok[new] = False
-
-    with np.errstate(all="ignore"):
-        sp = 0
-        for k in range(ops.shape[0]):
-            op = ops[k]
-            if op == OP_CONST:
-                stack[sp] = 0.0
-                stack[sp, 0] = consts[imm[k]]
-                sp += 1
-            elif op == OP_X:
-                stack[sp] = 0.0
-                stack[sp, 0] = xs
-                stack[sp, 1] = 1.0
-                sp += 1
-            elif op == OP_Y:
-                stack[sp] = 0.0
-                stack[sp, 0] = ys
-                stack[sp, 2] = 1.0
-                sp += 1
-            elif op == OP_ADD:
-                stack[sp - 2] += stack[sp - 1]
-                sp -= 1
-            elif op == OP_SUB:
-                stack[sp - 2] -= stack[sp - 1]
-                sp -= 1
-            elif op == OP_MUL:
-                stack[sp - 2] = _mul10_np(stack[sp - 2], stack[sp - 1])
-                sp -= 1
-            elif op == OP_DIV:
-                v0 = stack[sp - 1, 0]
-                fail(v0 == 0.0, ERR_DIV_ZERO, k)
-                v0 = np.where(v0 == 0.0, 1.0, v0)
-                recip = _compose10_np(
-                    stack[sp - 1], 1.0 / v0, -1.0 / v0**2, 2.0 / v0**3, -6.0 / v0**4
-                )
-                stack[sp - 2] = _mul10_np(stack[sp - 2], recip)
-                sp -= 1
-            elif op == OP_NEG:
-                stack[sp - 1] = -stack[sp - 1]
-            elif op == OP_POWI:
-                m = imm[k]
-                u = stack[sp - 1]
-                if m == 0:
-                    stack[sp - 1] = 0.0
-                    stack[sp - 1, 0] = 1.0
-                else:
-                    acc = u.copy()
-                    for _ in range(abs(m) - 1):
-                        acc = _mul10_np(acc, u)
-                    if m < 0:
-                        v0 = acc[0]
-                        fail(v0 == 0.0, ERR_DIV_ZERO, k)
-                        v0 = np.where(v0 == 0.0, 1.0, v0)
-                        acc = _compose10_np(
-                            acc, 1.0 / v0, -1.0 / v0**2, 2.0 / v0**3, -6.0 / v0**4
-                        )
-                    stack[sp - 1] = acc
-            elif op == OP_EXP:
-                g = np.exp(stack[sp - 1, 0])
-                stack[sp - 1] = _compose10_np(stack[sp - 1], g, g, g, g)
-            elif op == OP_LN:
-                v0 = stack[sp - 1, 0]
-                fail(v0 <= 0.0, ERR_LN_DOMAIN, k)
-                v0 = np.where(v0 <= 0.0, 1.0, v0)
-                stack[sp - 1, 0] = v0
-                stack[sp - 1] = _compose10_np(
-                    stack[sp - 1], np.log(v0), 1.0 / v0, -1.0 / v0**2, 2.0 / v0**3
-                )
-            elif op == OP_SIN:
-                s = np.sin(stack[sp - 1, 0])
-                c = np.cos(stack[sp - 1, 0])
-                stack[sp - 1] = _compose10_np(stack[sp - 1], s, c, -s, -c)
-            elif op == OP_COS:
-                s = np.sin(stack[sp - 1, 0])
-                c = np.cos(stack[sp - 1, 0])
-                stack[sp - 1] = _compose10_np(stack[sp - 1], c, -s, -c, s)
-            elif op == OP_SQRT:
-                v0 = stack[sp - 1, 0]
-                fail(v0 <= 0.0, ERR_SQRT_DOMAIN, k)
-                v0 = np.where(v0 <= 0.0, 1.0, v0)
-                stack[sp - 1, 0] = v0
-                s = np.sqrt(v0)
-                stack[sp - 1] = _compose10_np(
-                    stack[sp - 1], s, 0.5 / s, -0.25 / (s * v0), 0.375 / (s * v0 * v0)
-                )
-            fail(~np.isfinite(stack[sp - 1]).all(axis=0), ERR_NOT_FINITE, k)
-            bad = ~ok
-            if bad.any():
-                stack[sp - 1][:, bad] = 1.0
-
-    return np.ascontiguousarray(stack[0].T), codes, opidx
-
-
-# ---------------------------------------------------------------------------
-# public evaluation API
-# ---------------------------------------------------------------------------
-
-
-def _raise_eval_error(program: Program, code: int, at: int, x: float, y: float):
-    frag = program.frags[at] if 0 <= at < len(program.frags) else program.source
-    raise EvalDomainError(_ERR_TEXT.get(int(code), "evaluation error"), frag, (x, y))
-
-
-def jet_coeffs(program: Program, x: float, y: float, backend: str | None = None):
-    """Raw coefficient vector of the order-3 jet at one point.
+def jet_coeffs(program: Program, x: float, y: float) -> tuple:
+    """The ten order-3 jet coefficients at one point, as floats.
 
     Raises :class:`EvalDomainError` naming the offending subexpression
     and point on any domain violation or overflow.
     """
-    b = backend or default_backend()
-    if b == "numba":
-        code, at, out = _run_single_alloc(
-            program.ops, program.imm, program.consts, program.depth, float(x), float(y)
-        )
-        if code != ERR_OK:
-            _raise_eval_error(program, code, at, x, y)
-        return out
-    out, codes, opidx = _run_batch_numpy(
-        program.ops,
-        program.imm,
-        program.consts,
-        program.depth,
-        np.array([float(x)]),
-        np.array([float(y)]),
-    )
-    if codes[0] != ERR_OK:
-        _raise_eval_error(program, codes[0], opidx[0], x, y)
-    return out[0]
+    try:
+        return program.at_point(float(x), float(y), _raise)
+    except _Failure as failure:
+        code, k = failure.args
+        raise EvalDomainError(_ERR_TEXT[code], program.frags[k], (x, y)) from None
 
 
-def jet_coeffs_many(program: Program, xs, ys, backend: str | None = None):
-    """Batch jets at many points.
-
-    Non-raising: returns (coeffs (n, 10), codes (n,), opidx (n,)) with
-    code 0 marking successful points.
-    """
+def jet_coeffs_many(program: Program, xs, ys):
+    """Batch jets at many points.  Non-raising: returns (coeffs (n, 10),
+    codes (n,), opidx (n,)), code 0 marking successful points; the rows of
+    failing points are undefined."""
     xs = np.ascontiguousarray(xs, dtype=np.float64).ravel()
     ys = np.ascontiguousarray(ys, dtype=np.float64).ravel()
-    b = backend or default_backend()
-    if b == "numba":
-        return _run_batch(program.ops, program.imm, program.consts, program.depth, xs, ys)
-    return _run_batch_numpy(program.ops, program.imm, program.consts, program.depth, xs, ys)
+    out = np.empty((xs.size, JET_SIZE))
+    codes = np.zeros(xs.size, dtype=np.int64)
+    opidx = np.full(xs.size, -1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for lo in range(0, xs.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            check = partial(_record, codes[part], opidx[part])
+            for k, v in enumerate(program.on_arrays(xs[part], ys[part], check)):
+                out[part, k] = v
+    return out, codes, opidx
+
+
+def jet_coeffs_or_raise(program: Program, xs, ys) -> np.ndarray:
+    """Batch jets that must all succeed: the (n, 10) coefficients, or
+    :class:`EvalDomainError` naming the first failing point."""
+    out, codes, opidx = jet_coeffs_many(program, xs, ys)
+    bad = np.flatnonzero(codes)
+    if bad.size:
+        i = int(bad[0])
+        raise EvalDomainError(
+            error_message(program, int(codes[i]), int(opidx[i])),
+            program.source,
+            (float(np.ravel(xs)[i]), float(np.ravel(ys)[i])),
+        )
+    return out
 
 
 def error_message(program: Program, code: int, at: int) -> str:
@@ -608,13 +331,11 @@ def error_message(program: Program, code: int, at: int) -> str:
     return f"{_ERR_TEXT.get(int(code), 'evaluation error')} in {frag!r}"
 
 
-def eval_jet3(e: Expr | str, point, backend: str | None = None) -> Jet3:
+def eval_jet3(e: Expr | str, point) -> Jet3:
     """Value plus all partial derivatives through order 3 at a point."""
-    program = compile_expr(e)
-    return Jet3(jet_coeffs(program, point[0], point[1], backend=backend))
+    return Jet3(jet_coeffs(compile_expr(e), point[0], point[1]))
 
 
-def gradient(e: Expr | str, point, backend: str | None = None) -> tuple[float, float]:
+def gradient(e: Expr | str, point) -> tuple[float, float]:
     """(df/dx, df/dy) at a point, projected out of the order-3 jet."""
-    c = jet_coeffs(compile_expr(e), point[0], point[1], backend=backend)
-    return float(c[1]), float(c[2])
+    return eval_jet3(e, point).gradient()

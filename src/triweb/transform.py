@@ -17,16 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, NormalFormError
+from .errors import NormalFormError
 from .expr import Expr, parse
-from .kernels import (
-    ERR_OK,
-    compile_expr,
-    error_message,
-    jet_coeffs,
-    jet_coeffs_many,
-)
+from .kernels import compile_expr, jet_coeffs, jet_coeffs_or_raise
 from .web import DEFAULT_GRID, Domain, LeafPolyline, ThreeWeb
+
+DEFAULT_DIFFEO_TOL = 1e-6  # floor on |det J| at every admissible grid point
 
 
 @dataclass(frozen=True)
@@ -70,20 +66,20 @@ def linearizing_map(web: ThreeWeb) -> PlaneMap:
     return PlaneMap(web.web_function.integral, parse("y"), name="linearizing")
 
 
-def apply_map(m: PlaneMap, p, backend: str | None = None) -> tuple[float, float]:
+def apply_map(m: PlaneMap, p) -> tuple[float, float]:
     """Image of one point under the map."""
     p1, p2 = m.programs
     return (
-        float(jet_coeffs(p1, p[0], p[1], backend=backend)[0]),
-        float(jet_coeffs(p2, p[0], p[1], backend=backend)[0]),
+        float(jet_coeffs(p1, p[0], p[1])[0]),
+        float(jet_coeffs(p2, p[0], p[1])[0]),
     )
 
 
-def jacobian_det(m: PlaneMap, p, backend: str | None = None) -> float:
+def jacobian_det(m: PlaneMap, p) -> float:
     """Determinant of the Jacobian at a point, from first-order jets."""
     p1, p2 = m.programs
-    c1 = jet_coeffs(p1, p[0], p[1], backend=backend)
-    c2 = jet_coeffs(p2, p[0], p[1], backend=backend)
+    c1 = jet_coeffs(p1, p[0], p[1])
+    c2 = jet_coeffs(p2, p[0], p[1])
     return float(c1[1] * c2[2] - c1[2] * c2[1])
 
 
@@ -115,29 +111,16 @@ def diffeo_report(
     m: PlaneMap,
     domain: Domain,
     grid: tuple[int, int] = DEFAULT_GRID,
-    threshold: float = 1e-6,
-    backend: str | None = None,
+    threshold: float = DEFAULT_DIFFEO_TOL,
 ) -> DiffeoReport:
     """Grid certificate of local invertibility: |det J| >= threshold at
     every admissible grid point."""
     nx, ny = grid
     xs, ys = domain.grid(nx, ny)
-    mask = domain.admissible_mask(xs, ys, backend=backend)
+    mask = domain.admissible_mask(xs, ys)
     xs, ys = xs[mask], ys[mask]
 
-    dets = None
-    jac = []
-    for prog in m.programs:
-        out, codes, opidx = jet_coeffs_many(prog, xs, ys, backend=backend)
-        bad = np.nonzero(codes != ERR_OK)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise EvalDomainError(
-                error_message(prog, int(codes[i]), int(opidx[i])),
-                prog.source,
-                (float(xs[i]), float(ys[i])),
-            )
-        jac.append(out[:, 1:3])
+    jac = [jet_coeffs_or_raise(prog, xs, ys)[:, 1:3] for prog in m.programs]
     dets = jac[0][:, 0] * jac[1][:, 1] - jac[0][:, 1] * jac[1][:, 0]
 
     absdet = np.abs(dets)
@@ -157,7 +140,7 @@ def diffeo_report(
     )
 
 
-def push_polyline(m: PlaneMap, leaf: LeafPolyline, backend: str | None = None) -> LeafPolyline:
+def push_polyline(m: PlaneMap, leaf: LeafPolyline) -> LeafPolyline:
     """Vertex-wise image of a traced leaf.
 
     Level and foliation metadata are preserved; cumulative arc lengths
@@ -165,20 +148,8 @@ def push_polyline(m: PlaneMap, leaf: LeafPolyline, backend: str | None = None) -
     """
     xs = leaf.vertices[:, 0]
     ys = leaf.vertices[:, 1]
-    p1, p2 = m.programs
-    imgs = []
-    for prog in (p1, p2):
-        out, codes, opidx = jet_coeffs_many(prog, xs, ys, backend=backend)
-        bad = np.nonzero(codes != ERR_OK)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise EvalDomainError(
-                error_message(prog, int(codes[i]), int(opidx[i])),
-                prog.source,
-                (float(xs[i]), float(ys[i])),
-            )
-        imgs.append(out[:, 0])
-    vertices = np.column_stack(imgs)
+    images = [jet_coeffs_or_raise(prog, xs, ys)[:, 0] for prog in m.programs]
+    vertices = np.column_stack(images)
     if vertices.shape[0] > 1:
         seg = np.hypot(np.diff(vertices[:, 0]), np.diff(vertices[:, 1]))
         arcs = np.concatenate(([0.0], np.cumsum(seg)))

@@ -27,6 +27,7 @@ from .errors import ConfigError, TraceError, TriwebError
 from .expr import Expr, eval_value, parse
 from .kernels import jet_coeffs
 from .transform import (
+    DEFAULT_DIFFEO_TOL,
     DiffeoReport,
     PlaneMap,
     diffeo_report,
@@ -88,7 +89,7 @@ def collinearity_residual(points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def diagonal_seeds(domain: Domain, n: int, backend: str | None = None):
+def diagonal_seeds(domain: Domain, n: int):
     """n admissible points spaced along the box diagonal.
 
     Candidates are placed at even fractions; whenever exclusions swallow
@@ -104,7 +105,7 @@ def diagonal_seeds(domain: Domain, n: int, backend: str | None = None):
         adm = [
             (float(p[0]), float(p[1]))
             for p in pts
-            if domain.admissible(p, backend=backend)
+            if domain.admissible(p)
         ]
         if len(adm) >= n:
             return adm[:n]
@@ -112,11 +113,11 @@ def diagonal_seeds(domain: Domain, n: int, backend: str | None = None):
     raise ConfigError(f"could not place {n} admissible seeds on the box diagonal")
 
 
-def _seed_component(domain: Domain, seed, backend) -> int:
+def _seed_component(domain: Domain, seed) -> int:
     """Which side of the excluded locus the seed lies on (0: no locus)."""
     if domain.exclude_program is None:
         return 0
-    g = jet_coeffs(domain.exclude_program, seed[0], seed[1], backend=backend)[0]
+    g = jet_coeffs(domain.exclude_program, seed[0], seed[1])[0]
     return int(math.copysign(1.0, g)) if g != 0 else 0
 
 
@@ -210,15 +211,10 @@ class LinearizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _trace_one(web, fol_index, seed, max_arc, backend) -> LeafPolyline:
+def _trace_one(web, fol_index, seed, max_arc) -> LeafPolyline:
     try:
         leaf = trace_leaf(
-            web.foliation(fol_index),
-            seed,
-            max_arc,
-            web.domain,
-            fol_index=fol_index,
-            backend=backend,
+            web.foliation(fol_index), seed, max_arc, web.domain, fol_index=fol_index
         )
     except TriwebError as exc:
         raise TraceError(
@@ -232,9 +228,7 @@ def _trace_one(web, fol_index, seed, max_arc, backend) -> LeafPolyline:
     return leaf
 
 
-def _linearity_from_traces(
-    web, fol_index, m, traces, seeds, tol, backend
-) -> LinearityReport:
+def _linearity_from_traces(web, fol_index, m, traces, seeds, tol) -> LinearityReport:
     residuals = []
     levels = []
     components = []
@@ -247,7 +241,7 @@ def _linearity_from_traces(
                 f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {exc}"
             ) from exc
         levels.append(pre.level)
-        components.append(_seed_component(web.domain, seed, backend))
+        components.append(_seed_component(web.domain, seed))
     max_res = max(residuals)
     return LinearityReport(
         foliation=fol_index,
@@ -269,18 +263,17 @@ def foliation_linearity(
     seeds=None,
     tol: float = DEFAULT_LINEARITY_TOL,
     max_arc: float = DEFAULT_MAX_ARC,
-    backend: str | None = None,
 ) -> LinearityReport:
     """Trace the leaf through each seed, push it through ``m`` (identity
     when None), and score collinearity per leaf."""
     if seeds is None:
-        seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS, backend=backend)
+        seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS)
     traces = []
     for seed in seeds:
-        pre = _trace_one(web, fol_index, seed, max_arc, backend)
-        post = push_polyline(m, pre, backend=backend) if m is not None else None
+        pre = _trace_one(web, fol_index, seed, max_arc)
+        post = push_polyline(m, pre) if m is not None else None
         traces.append((pre, post))
-    return _linearity_from_traces(web, fol_index, m, traces, seeds, tol, backend)
+    return _linearity_from_traces(web, fol_index, m, traces, seeds, tol)
 
 
 def _run_pipeline(
@@ -292,11 +285,11 @@ def _run_pipeline(
     line_tol: float,
     grid,
     max_arc: float,
-    backend,
+    diffeo_tol: float,
 ) -> LinearizationReport:
-    gp = general_position_report(web, grid=grid, backend=backend)
-    dif = diffeo_report(m, web.domain, grid=grid, backend=backend)
-    seeds = diagonal_seeds(web.domain, seeds_per_foliation, backend=backend)
+    gp = general_position_report(web, grid=grid)
+    dif = diffeo_report(m, web.domain, grid=grid, threshold=diffeo_tol)
+    seeds = diagonal_seeds(web.domain, seeds_per_foliation)
 
     fol_reports = []
     all_traces: list[TracedLeaf] = []
@@ -304,14 +297,12 @@ def _run_pipeline(
     for fol_index in (1, 2, 3):
         traces = []
         for seed in seeds:
-            pre = _trace_one(web, fol_index, seed, max_arc, backend)
-            post = push_polyline(m, pre, backend=backend)
+            pre = _trace_one(web, fol_index, seed, max_arc)
+            post = push_polyline(m, pre)
             traces.append((pre, post))
             all_traces.append(TracedLeaf(fol_index, tuple(seed), pre, post))
         per_fol_traces[fol_index] = traces
-        fol_reports.append(
-            _linearity_from_traces(web, fol_index, m, traces, seeds, tol, backend)
-        )
+        fol_reports.append(_linearity_from_traces(web, fol_index, m, traces, seeds, tol))
 
     line_check = None
     if line_formula is not None:
@@ -354,7 +345,7 @@ def verify_linearization(
     grid=DEFAULT_GRID,
     map_override: PlaneMap | None = None,
     max_arc: float = DEFAULT_MAX_ARC,
-    backend: str | None = None,
+    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
 ) -> LinearizationReport:
     """Full pipeline for the bundled exponential-shear web.
 
@@ -374,7 +365,7 @@ def verify_linearization(
         m = linearizing_map(web)
         formula = lambda c, ybar: (c + ybar) * math.exp(-c)  # noqa: E731
     return _run_pipeline(
-        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, backend
+        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
     )
 
 
@@ -387,7 +378,7 @@ def verify_family(
     line_tol: float = DEFAULT_LINE_FORMULA_TOL,
     grid=DEFAULT_GRID,
     max_arc: float = DEFAULT_MAX_ARC,
-    backend: str | None = None,
+    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
 ) -> LinearizationReport:
     """Same pipeline for the family f(x, y) = a(x) x + b(x) y.
 
@@ -408,7 +399,7 @@ def verify_family(
 
     m = linearizing_map(web)
     return _run_pipeline(
-        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, backend
+        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
     )
 
 
@@ -419,18 +410,11 @@ def verify_map(
     tol: float = DEFAULT_LINEARITY_TOL,
     grid=DEFAULT_GRID,
     max_arc: float = DEFAULT_MAX_ARC,
-    backend: str | None = None,
+    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
 ) -> LinearizationReport:
     """Does ``m`` linearize ``web``?  Diffeomorphism plus per-foliation
     straightness; no closed-form line check."""
+    line_tol = DEFAULT_LINE_FORMULA_TOL
     return _run_pipeline(
-        web,
-        m,
-        None,
-        seeds_per_foliation,
-        tol,
-        DEFAULT_LINE_FORMULA_TOL,
-        grid,
-        max_arc,
-        backend,
+        web, m, None, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
     )

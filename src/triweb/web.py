@@ -26,9 +26,9 @@ from .kernels import (
     ERR_OK,
     Program,
     compile_expr,
-    error_message,
     jet_coeffs,
     jet_coeffs_many,
+    jet_coeffs_or_raise,
 )
 
 # tracing and validation constants
@@ -82,26 +82,24 @@ class Domain:
         xmin, xmax, ymin, ymax = self.box
         return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
 
-    def admissible(self, p, backend: str | None = None) -> bool:
+    def admissible(self, p) -> bool:
         if not self.in_box(p):
             return False
         if self._exclude_program is None:
             return True
         try:
-            g = jet_coeffs(self._exclude_program, p[0], p[1], backend=backend)[0]
+            g = jet_coeffs(self._exclude_program, p[0], p[1])[0]
         except EvalDomainError:
             return False
         return abs(g) >= self.margin
 
-    def admissible_mask(self, xs, ys, backend: str | None = None) -> np.ndarray:
+    def admissible_mask(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         xmin, xmax, ymin, ymax = self.box
         mask = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
         if self._exclude_program is not None:
-            out, codes, _ = jet_coeffs_many(
-                self._exclude_program, xs, ys, backend=backend
-            )
+            out, codes, _ = jet_coeffs_many(self._exclude_program, xs, ys)
             mask &= (codes == ERR_OK) & (np.abs(out[:, 0]) >= self.margin)
         return mask
 
@@ -143,11 +141,11 @@ class Foliation:
     def program(self) -> Program:
         return self._program
 
-    def value(self, p, backend: str | None = None) -> float:
-        return float(jet_coeffs(self._program, p[0], p[1], backend=backend)[0])
+    def value(self, p) -> float:
+        return float(jet_coeffs(self._program, p[0], p[1])[0])
 
-    def grad(self, p, backend: str | None = None) -> tuple[float, float]:
-        c = jet_coeffs(self._program, p[0], p[1], backend=backend)
+    def grad(self, p) -> tuple[float, float]:
+        c = jet_coeffs(self._program, p[0], p[1])
         return float(c[1]), float(c[2])
 
 
@@ -305,22 +303,10 @@ class GeneralPositionReport:
         }
 
 
-def _grads_on_grid(web: ThreeWeb, xs, ys, backend):
+def _grads_on_grid(web: ThreeWeb, xs, ys):
     """Gradients of all three integrals at given points; raises with point
     attribution on any evaluation failure."""
-    grads = []
-    for fol in web.foliations:
-        out, codes, opidx = jet_coeffs_many(fol.program, xs, ys, backend=backend)
-        bad = np.nonzero(codes != ERR_OK)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise EvalDomainError(
-                error_message(fol.program, int(codes[i]), int(opidx[i])),
-                fol.program.source,
-                (float(xs[i]), float(ys[i])),
-            )
-        grads.append(out[:, 1:3])
-    return grads
+    return [jet_coeffs_or_raise(fol.program, xs, ys)[:, 1:3] for fol in web.foliations]
 
 
 def general_position_report(
@@ -328,20 +314,19 @@ def general_position_report(
     grid: tuple[int, int] = DEFAULT_GRID,
     eps_gp: float = EPS_GP,
     eps_grad: float = EPS_GRAD,
-    backend: str | None = None,
 ) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
     three foliations at every admissible grid point."""
     nx, ny = grid
     xs, ys = web.domain.grid(nx, ny)
-    mask = web.domain.admissible_mask(xs, ys, backend=backend)
+    mask = web.domain.admissible_mask(xs, ys)
     xs, ys = xs[mask], ys[mask]
     n_total = int(mask.size)
     n_adm = int(xs.size)
     if n_adm == 0:
         raise ConfigError("no admissible grid points in domain")
 
-    g1, g2, g3 = _grads_on_grid(web, xs, ys, backend)
+    g1, g2, g3 = _grads_on_grid(web, xs, ys)
     failures: list[GridFailure] = []
 
     for idx, g in enumerate((g1, g2, g3), start=1):
@@ -401,8 +386,8 @@ class LeafPolyline:
         return int(self.vertices.shape[0])
 
 
-def _tangent(program: Program, x: float, y: float, backend) -> tuple[float, float]:
-    c = jet_coeffs(program, x, y, backend=backend)
+def _tangent(program: Program, x: float, y: float) -> tuple[float, float]:
+    c = jet_coeffs(program, x, y)
     gx, gy = c[1], c[2]
     n = math.hypot(gx, gy)
     if n < EPS_GRAD:
@@ -410,21 +395,21 @@ def _tangent(program: Program, x: float, y: float, backend) -> tuple[float, floa
     return gy / n, -gx / n
 
 
-def _rk4_step(program: Program, x: float, y: float, h: float, backend):
-    t1x, t1y = _tangent(program, x, y, backend)
-    t2x, t2y = _tangent(program, x + 0.5 * h * t1x, y + 0.5 * h * t1y, backend)
-    t3x, t3y = _tangent(program, x + 0.5 * h * t2x, y + 0.5 * h * t2y, backend)
-    t4x, t4y = _tangent(program, x + h * t3x, y + h * t3y, backend)
+def _rk4_step(program: Program, x: float, y: float, h: float):
+    t1x, t1y = _tangent(program, x, y)
+    t2x, t2y = _tangent(program, x + 0.5 * h * t1x, y + 0.5 * h * t1y)
+    t3x, t3y = _tangent(program, x + 0.5 * h * t2x, y + 0.5 * h * t2y)
+    t4x, t4y = _tangent(program, x + h * t3x, y + h * t3y)
     return (
         x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x),
         y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y),
     )
 
 
-def _project(program: Program, x: float, y: float, level: float, backend):
+def _project(program: Program, x: float, y: float, level: float):
     """Newton steps along the gradient back onto u = level."""
     for _ in range(PROJ_MAX_ITER):
-        c = jet_coeffs(program, x, y, backend=backend)
+        c = jet_coeffs(program, x, y)
         r = c[0] - level
         if abs(r) <= PROJ_TOL:
             return x, y, True
@@ -434,25 +419,25 @@ def _project(program: Program, x: float, y: float, level: float, backend):
             raise _GradCollapse()
         x -= r * gx / n2
         y -= r * gy / n2
-    c = jet_coeffs(program, x, y, backend=backend)
+    c = jet_coeffs(program, x, y)
     return x, y, abs(c[0] - level) <= TOL_LEVEL
 
 
-def _advance(program: Program, level: float, x: float, y: float, ds: float, backend):
+def _advance(program: Program, level: float, x: float, y: float, ds: float):
     """One projected integrator step of signed arc length ds."""
     if ds == 0.0:
         return x, y, True
-    xn, yn = _rk4_step(program, x, y, ds, backend)
-    return _project(program, xn, yn, level, backend)
+    xn, yn = _rk4_step(program, x, y, ds)
+    return _project(program, xn, yn, level)
 
 
-def _trace_direction(program, level, x0, y0, h_signed, n_steps, domain, backend):
+def _trace_direction(program, level, x0, y0, h_signed, n_steps, domain):
     pts: list[tuple[float, float]] = []
     x, y = x0, y0
     flag = None
     for _ in range(n_steps):
         try:
-            xn, yn, converged = _advance(program, level, x, y, h_signed, backend)
+            xn, yn, converged = _advance(program, level, x, y, h_signed)
         except _GradCollapse:
             flag = "gradient_collapse"
             break
@@ -462,7 +447,7 @@ def _trace_direction(program, level, x0, y0, h_signed, n_steps, domain, backend)
         if not converged:
             flag = "projection_stall"
             break
-        if not domain.admissible((xn, yn), backend=backend):
+        if not domain.admissible((xn, yn)):
             break  # clean truncation at the domain boundary
         pts.append((xn, yn))
         x, y = xn, yn
@@ -475,7 +460,6 @@ def trace_leaf(
     max_arc: float,
     domain: Domain,
     fol_index: int = 0,
-    backend: str | None = None,
 ) -> LeafPolyline:
     """Trace the leaf of ``fol`` through ``p0`` in both directions.
 
@@ -484,9 +468,9 @@ def trace_leaf(
     invariant to TOL_LEVEL.
     """
     x0, y0 = float(p0[0]), float(p0[1])
-    if not domain.admissible((x0, y0), backend=backend):
+    if not domain.admissible((x0, y0)):
         raise TraceError(f"seed point ({x0}, {y0}) is not admissible")
-    c0 = jet_coeffs(fol.program, x0, y0, backend=backend)
+    c0 = jet_coeffs(fol.program, x0, y0)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at seed point ({x0}, {y0})")
     level = float(c0[0])
@@ -494,12 +478,8 @@ def trace_leaf(
         raise TraceError("max_arc must be positive")
     n_steps = int(max_arc / H_STEP + 1e-12)
 
-    fwd, flag_f = _trace_direction(
-        fol.program, level, x0, y0, H_STEP, n_steps, domain, backend
-    )
-    bwd, flag_b = _trace_direction(
-        fol.program, level, x0, y0, -H_STEP, n_steps, domain, backend
-    )
+    fwd, flag_f = _trace_direction(fol.program, level, x0, y0, H_STEP, n_steps, domain)
+    bwd, flag_b = _trace_direction(fol.program, level, x0, y0, -H_STEP, n_steps, domain)
 
     pts = list(reversed(bwd)) + [(x0, y0)] + fwd
     vertices = np.array(pts, dtype=float)
@@ -523,13 +503,32 @@ def trace_leaf(
     )
 
 
-def walk_on_leaf(
-    fol: Foliation,
-    p0,
-    arc: float,
-    domain: Domain,
-    backend: str | None = None,
-) -> tuple[float, float]:
+def _walk_path(program: Program, level: float, x: float, y: float, arc: float, domain: Domain):
+    """Every point of a walk of signed arc length ``arc`` along the leaf
+    u = level from (x, y), in steps of H_STEP and one final remainder.
+
+    Raises :class:`TraceError` if the walk leaves the admissible domain
+    or the gradient degenerates.
+    """
+    h = H_STEP if arc >= 0 else -H_STEP
+    n_full = int(abs(arc) / H_STEP + 1e-12)
+    rest = abs(arc) - n_full * H_STEP
+    steps = [h] * n_full + ([math.copysign(rest, arc)] if rest > 1e-12 else [])
+    path = [(x, y)]
+    for ds in steps:
+        try:
+            x, y, converged = _advance(program, level, x, y, ds)
+        except _GradCollapse:
+            raise TraceError(f"gradient collapse walking leaf near ({x}, {y})") from None
+        if not converged:
+            raise TraceError(f"level projection stalled near ({x}, {y})")
+        if not domain.admissible((x, y)):
+            raise TraceError(f"walk left the admissible domain at ({x}, {y})")
+        path.append((x, y))
+    return path
+
+
+def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float, float]:
     """Point at signed arc distance ``arc`` from ``p0`` along the leaf
     through ``p0``, following the (du/dy, -du/dx) orientation.
 
@@ -537,21 +536,7 @@ def walk_on_leaf(
     or the gradient degenerates.
     """
     x, y = float(p0[0]), float(p0[1])
-    c0 = jet_coeffs(fol.program, x, y, backend=backend)
-    level = float(c0[0])
+    c0 = jet_coeffs(fol.program, x, y)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")
-    h = H_STEP if arc >= 0 else -H_STEP
-    n_full = int(abs(arc) / H_STEP + 1e-12)
-    rest = abs(arc) - n_full * H_STEP
-    steps = [h] * n_full + ([math.copysign(rest, arc)] if rest > 1e-12 else [])
-    for ds in steps:
-        try:
-            x, y, converged = _advance(fol.program, level, x, y, ds, backend)
-        except _GradCollapse:
-            raise TraceError(f"gradient collapse walking leaf near ({x}, {y})") from None
-        if not converged:
-            raise TraceError(f"level projection stalled near ({x}, {y})")
-        if not domain.admissible((x, y), backend=backend):
-            raise TraceError(f"walk left the admissible domain at ({x}, {y})")
-    return x, y
+    return _walk_path(fol.program, float(c0[0]), x, y, arc, domain)[-1]

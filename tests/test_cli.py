@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -298,6 +297,21 @@ class TestConfigFile:
         rep = json.loads((tmp_path / "cfg_out" / "report.json").read_text())
         assert len(rep["foliations"][0]["seeds"]) == 3
 
+    def test_diffeo_tolerance_reaches_report(self, tmp_path, capsys):
+        # min |det J| of the linearizing map is about 0.0135, so a floor of
+        # 100 must fail the diffeomorphism verdict, from a flag or a config
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"tolerances": {"diffeo": 100}}))
+        small = ["--builtin", "paper", "--seeds", "2", "--max-arc", "0.5"]
+        for source in (["--tol-diffeo", "100"], ["--config", str(cfg_path)]):
+            out = tmp_path / source[0].lstrip("-")
+            argv = ["verify-theorem", *small, *source, "--out", str(out)]
+            assert main(argv) == 1
+            assert "threshold 100" in capsys.readouterr().out
+            diffeo = json.loads((out / "report.json").read_text())["diffeomorphism"]
+            assert diffeo["threshold"] == 100
+            assert diffeo["verdict"] is False
+
     def test_invalid_json_config(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -356,9 +370,8 @@ class TestVerifyMapCommand:
         )
 
 
-class TestBackendEnvFlag:
-    def test_numpy_fallback_subprocess(self, tmp_path):
-        env = dict(os.environ, TRIWEB_BACKEND="numpy")
+class TestModuleEntryPoint:
+    def test_analyze_subprocess(self, tmp_path):
         proc = subprocess.run(
             [
                 sys.executable,
@@ -375,36 +388,12 @@ class TestBackendEnvFlag:
                 "--out",
                 str(tmp_path),
             ],
-            env=env,
             capture_output=True,
             text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert "parallelizable" in proc.stdout
-
-    def test_unknown_backend_is_config_error(self, tmp_path):
-        env = dict(os.environ, TRIWEB_BACKEND="cuda")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "triweb.cli",
-                "analyze",
-                "--web",
-                "x",
-                "y",
-                "x+y",
-                "--out",
-                str(tmp_path),
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert proc.returncode == 2
-        assert "TRIWEB_BACKEND" in proc.stderr
 
 
 class TestParseCommand:
