@@ -22,17 +22,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .analysis import hexagon_defect, parallelizability_report
-from .errors import (
-    ConfigError,
-    EvalDomainError,
-    HexagonError,
-    NormalFormError,
-    ParseError,
-    TraceError,
-    TriwebError,
-)
+from .errors import ConfigError, EvalDomainError, TraceError, TriwebError
 from .expr import parse as parse_expr
 from .expr import to_text
 from .kernels import eval_jet3
@@ -153,17 +146,117 @@ class RunConfig:
     def build_map(self) -> PlaneMap | None:
         if self.map_spec is None:
             return None
-        if len(self.map_spec) == 1:
-            if self.map_spec[0] == "identity":
-                return identity_map()
-            raise ConfigError(
-                "--map takes 'identity' or two component expressions"
-            )
+        if self.map_spec == ("identity",):
+            return identity_map()
         if len(self.map_spec) == 2:
             return PlaneMap(
                 parse_expr(self.map_spec[0]), parse_expr(self.map_spec[1]), name="custom"
             )
         raise ConfigError("--map takes 'identity' or two component expressions")
+
+
+class Setting(NamedTuple):
+    """One run setting: its flag, its config-file key and its RunConfig field.
+
+    ``json`` is the key's dotted path in a config file (None: flag only) and
+    ``name`` the RunConfig field, by default the path's last component.
+    ``type`` is the type of each value and ``nargs`` the flag's arity; a
+    config value mirrors it: a scalar for None, else a list.  ``commands``
+    names the subcommands that take the flag, None meaning every command but
+    ``parse``.  ``dest`` is needed only where argparse's own differs.
+    """
+
+    flag: str
+    json: str | None
+    type: type = str
+    nargs: int | str | None = None
+    name: str | None = None
+    dest: str | None = None
+    commands: tuple[str, ...] | None = None
+    choices: tuple | None = None
+    metavar: str | tuple[str, ...] | None = None
+    help: str | None = None
+
+    @property
+    def field(self) -> str:
+        return self.name or self.json.rpartition(".")[2]
+
+
+SETTINGS = (
+    Setting("--out", "out", help="output directory (default: out)"),
+    Setting("--builtin", "web.builtin", choices=BUILTIN_WEB_NAMES, help="bundled example web"),
+    Setting("--web", "web.integrals", nargs=3, metavar=("U1", "U2", "U3"),
+            help="three first-integral expressions"),
+    Setting("--a", "web.family.a", name="family_a", help="family coefficient a(x)"),
+    Setting("--b", "web.family.b", name="family_b", help="family coefficient b(x)"),
+    Setting("--box", "domain.box", float, 4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
+            help="domain box"),
+    Setting("--exclude", "domain.exclude", help="exclusion expression g(x,y)"),
+    Setting("--margin", "domain.margin", float, help="exclusion margin (|g| >= margin)"),
+    Setting("--grid", "grid", int, 2, metavar=("NX", "NY"), help="report grid"),
+    Setting("--seeds", "seeds", int, help="seeds per foliation"),
+    Setting("--max-arc", "max_arc", float, help="arc budget per direction"),
+    Setting("--tol-linearity", "tolerances.linearity", float, name="tol_linearity"),
+    Setting("--tol-curvature", "tolerances.curvature", float, name="tol_curvature"),
+    Setting("--tol-diffeo", "tolerances.diffeo", float, name="tol_diffeo"),
+    Setting("--tol-line", "tolerances.line_formula", float, name="tol_line"),
+    Setting("--foliation", "foliation", int, commands=("trace",), choices=(1, 2, 3),
+            help="which foliation"),
+    Setting("--seed", None, float, 2, name="seed_point", dest="seed_point", commands=("trace",),
+            metavar=("X", "Y"), help="trace the single leaf through this point"),
+    Setting("--center", "center", float, 2, commands=("hexagon",), metavar=("X", "Y")),
+    Setting("--radii", "radii", float, "+", commands=("hexagon",), metavar="R"),
+    Setting("--map", "map", nargs="+", name="map_spec", commands=("verify-theorem", "verify-map"),
+            metavar="M", help="'identity' or two expressions; overrides verify-theorem's map"),
+)
+_BY_KEY = {s.json: s for s in SETTINGS if s.json}
+# per element type: the JSON value types it accepts (a bool is no number
+# here), and its name for messages, singular and plural
+_JSON_TYPES = {
+    str: ((str,), "a string", "strings"),
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+}
+
+
+def _json_value(path: str, s: Setting, v):
+    """One config value, checked against its setting's arity, type and
+    choices, in the form the RunConfig field holds."""
+    accepted, one, many = _JSON_TYPES[s.type]
+    if s.nargs is None:
+        items, want = [v], one
+    else:
+        # a lone string stands for a list of one, as in "map": "identity"
+        items = [v] if s.nargs == "+" and isinstance(v, str) else v
+        want = f"a list of {'one or more' if s.nargs == '+' else s.nargs} {many}"
+    if s.choices:
+        want += f" from {', '.join(map(str, s.choices))}"
+    ok = (
+        isinstance(items, list)
+        and (len(items) == s.nargs if isinstance(s.nargs, int) else len(items) > 0)
+        and all(type(x) in accepted for x in items)
+        and all(x in s.choices for x in items if s.choices)
+    )
+    if not ok:
+        raise ConfigError(f"config key {path!r} must be {want}, got {json.dumps(v)}")
+    values = tuple(s.type(x) for x in items)
+    return values if s.nargs else values[0]
+
+
+def _json_fields(data: dict, prefix: str = "") -> dict:
+    """RunConfig field values from a config object; unknown keys are errors."""
+    values = {}
+    for key, v in data.items():
+        path = prefix + key
+        if path in _BY_KEY:
+            values[_BY_KEY[path].field] = _json_value(path, _BY_KEY[path], v)
+        elif any(k.startswith(path + ".") for k in _BY_KEY):
+            if not isinstance(v, dict):
+                raise ConfigError(f"config key {path!r} must be an object, got {json.dumps(v)}")
+            values.update(_json_fields(v, path + "."))
+        else:
+            raise ConfigError(f"unknown config key {path!r}")
+    return values
 
 
 def _load_config(path: str) -> dict:
@@ -176,126 +269,55 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
+    return _json_fields(data)
 
 
 def _config_from_sources(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    data = _load_config(args.config) if getattr(args, "config", None) else {}
-
-    web = data.get("web", {})
-    if "builtin" in web:
-        cfg.builtin = str(web["builtin"])
-    if "integrals" in web:
-        cfg.integrals = tuple(str(t) for t in web["integrals"])
-    if "family" in web:
-        cfg.family_a = str(web["family"].get("a", "")) or None
-        cfg.family_b = str(web["family"].get("b", "")) or None
-    dom = data.get("domain", {})
-    if "box" in dom:
-        cfg.box = tuple(float(v) for v in dom["box"])
-    if "exclude" in dom:
-        cfg.exclude = str(dom["exclude"])
-    if "margin" in dom:
-        cfg.margin = float(dom["margin"])
-    if "grid" in data:
-        cfg.grid = (int(data["grid"][0]), int(data["grid"][1]))
-    if "seeds" in data:
-        cfg.seeds = int(data["seeds"])
-    if "max_arc" in data:
-        cfg.max_arc = float(data["max_arc"])
-    tols = data.get("tolerances", {})
-    if "linearity" in tols:
-        cfg.tol_linearity = float(tols["linearity"])
-    if "curvature" in tols:
-        cfg.tol_curvature = float(tols["curvature"])
-    if "diffeo" in tols:
-        cfg.tol_diffeo = float(tols["diffeo"])
-    if "line_formula" in tols:
-        cfg.tol_line = float(tols["line_formula"])
-    if "out" in data:
-        cfg.out = Path(str(data["out"]))
-    if "map" in data:
-        m = data["map"]
-        cfg.map_spec = (str(m),) if isinstance(m, str) else tuple(str(t) for t in m)
-    if "center" in data:
-        cfg.center = (float(data["center"][0]), float(data["center"][1]))
-    if "radii" in data:
-        cfg.radii = tuple(float(r) for r in data["radii"])
-    if "foliation" in data:
-        cfg.foliation = int(data["foliation"])
-
-    # flags win over config values
-    if getattr(args, "builtin", None):
-        cfg.builtin = args.builtin
-    if getattr(args, "web", None):
-        cfg.integrals = tuple(args.web)
-    if getattr(args, "a", None):
-        cfg.family_a = args.a
-    if getattr(args, "b", None):
-        cfg.family_b = args.b
-    if getattr(args, "box", None):
-        cfg.box = tuple(args.box)
-    if getattr(args, "exclude", None):
-        cfg.exclude = args.exclude
-    if getattr(args, "margin", None) is not None:
-        cfg.margin = args.margin
-    if getattr(args, "grid", None):
-        cfg.grid = (args.grid[0], args.grid[1])
-    if getattr(args, "seeds", None) is not None:
-        cfg.seeds = args.seeds
-    if getattr(args, "max_arc", None) is not None:
-        cfg.max_arc = args.max_arc
-    if getattr(args, "tol_linearity", None) is not None:
-        cfg.tol_linearity = args.tol_linearity
-    if getattr(args, "tol_curvature", None) is not None:
-        cfg.tol_curvature = args.tol_curvature
-    if getattr(args, "tol_diffeo", None) is not None:
-        cfg.tol_diffeo = args.tol_diffeo
-    if getattr(args, "tol_line", None) is not None:
-        cfg.tol_line = args.tol_line
-    if getattr(args, "out", None):
-        cfg.out = Path(args.out)
-    if getattr(args, "map", None):
-        cfg.map_spec = tuple(args.map)
-    if getattr(args, "center", None):
-        cfg.center = (args.center[0], args.center[1])
-    if getattr(args, "radii", None):
-        cfg.radii = tuple(args.radii)
-    if getattr(args, "foliation", None) is not None:
-        cfg.foliation = args.foliation
-    if getattr(args, "seed_point", None):
-        cfg.seed_point = (args.seed_point[0], args.seed_point[1])
-
+    values = _load_config(args.config) if args.config else {}
+    for s in SETTINGS:  # a given flag wins; flags of other commands are absent
+        v = getattr(args, s.dest or s.flag[2:].replace("-", "_"), None)
+        if v is not None:
+            values[s.field] = tuple(v) if s.nargs else v
+    cfg = RunConfig(**values)
+    cfg.out = Path(cfg.out)
     cfg.validate()
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# pipeline runs
 # ---------------------------------------------------------------------------
 
 
-def _write_pipeline_outputs(cfg: RunConfig, web: ThreeWeb, report: LinearizationReport):
+def _run_pipeline(cfg: RunConfig, web: ThreeWeb, verify, *args, **kwargs) -> int:
+    """Run ``verify(*args, **kwargs)`` with the config's common pipeline
+    settings, write the outputs for ``web``, print the summary, and map the
+    verdict to the exit code."""
+    report: LinearizationReport = verify(
+        *args,
+        seeds_per_foliation=cfg.seeds,
+        tol=cfg.tol_linearity,
+        grid=cfg.grid,
+        max_arc=cfg.max_arc,
+        diffeo_tol=cfg.tol_diffeo,
+        **kwargs,
+    )
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
     dump_json(report.to_dict(), out / "report.json")
     svg_items = []
     for fol_index in (1, 2, 3):
-        rows = []
-        for t in report.traces:
-            if t.foliation != fol_index:
-                continue
-            rows.append((t.pre, 0))
-            svg_items.append((t.pre, 0))
-            if t.post is not None:
-                rows.append((t.post, 1))
-                svg_items.append((t.post, 1))
+        rows = [
+            (leaf, image)
+            for t in report.traces
+            if t.foliation == fol_index
+            for leaf, image in ((t.pre, 0), (t.post, 1))
+            if leaf is not None
+        ]
         write_leaf_csv(out / f"leaves_f{fol_index}.csv", rows, with_image=True)
+        svg_items += rows
     write_svg(out / "web.svg", web.domain, svg_items)
 
-
-def _print_pipeline_summary(report: LinearizationReport) -> None:
     def mark(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
 
@@ -319,6 +341,7 @@ def _print_pipeline_summary(report: LinearizationReport) -> None:
             f"(max deviation {lc.max_deviation:.6g} over {lc.n_leaves} leaves)"
         )
     print(f"overall: {mark(report.overall_pass)}")
+    return EXIT_PASS if report.overall_pass else EXIT_VERDICT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +433,9 @@ def _cmd_verify_theorem(args) -> int:
         )
     base = builtin_web(cfg.builtin or "paper")
     web = ThreeWeb(base.foliations, cfg.domain_override(base.domain))
-    report = verify_linearization(
-        web,
-        seeds_per_foliation=cfg.seeds,
-        tol=cfg.tol_linearity,
-        line_tol=cfg.tol_line,
-        grid=cfg.grid,
-        map_override=cfg.build_map(),
-        max_arc=cfg.max_arc,
-        diffeo_tol=cfg.tol_diffeo,
+    return _run_pipeline(
+        cfg, web, verify_linearization, web, line_tol=cfg.tol_line, map_override=cfg.build_map()
     )
-    _write_pipeline_outputs(cfg, web, report)
-    _print_pipeline_summary(report)
-    return EXIT_PASS if report.overall_pass else EXIT_VERDICT_FAIL
 
 
 def _cmd_verify_map(args) -> int:
@@ -431,78 +444,21 @@ def _cmd_verify_map(args) -> int:
     m = cfg.build_map()
     if m is None:
         raise ConfigError("verify-map needs --map (identity or two expressions)")
-    report = verify_map(
-        web,
-        m,
-        seeds_per_foliation=cfg.seeds,
-        tol=cfg.tol_linearity,
-        grid=cfg.grid,
-        max_arc=cfg.max_arc,
-        diffeo_tol=cfg.tol_diffeo,
-    )
-    _write_pipeline_outputs(cfg, web, report)
-    _print_pipeline_summary(report)
-    return EXIT_PASS if report.overall_pass else EXIT_VERDICT_FAIL
+    return _run_pipeline(cfg, web, verify_map, web, m)
 
 
 def _cmd_family(args) -> int:
     cfg = _config_from_sources(args)
     if not (cfg.family_a and cfg.family_b):
         raise ConfigError("family needs --a and --b coefficient expressions")
-    domain = cfg.domain_override(Domain())
-    report = verify_family(
-        cfg.family_a,
-        cfg.family_b,
-        domain,
-        seeds_per_foliation=cfg.seeds,
-        tol=cfg.tol_linearity,
-        line_tol=cfg.tol_line,
-        grid=cfg.grid,
-        max_arc=cfg.max_arc,
-        diffeo_tol=cfg.tol_diffeo,
-    )
-    web = family_web(cfg.family_a, cfg.family_b, domain)
-    _write_pipeline_outputs(cfg, web, report)
-    _print_pipeline_summary(report)
-    return EXIT_PASS if report.overall_pass else EXIT_VERDICT_FAIL
+    a, b, domain = cfg.family_a, cfg.family_b, cfg.domain_override(Domain())
+    web = family_web(a, b, domain)
+    return _run_pipeline(cfg, web, verify_family, a, b, domain, line_tol=cfg.tol_line)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser, web_flags: bool = True) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="output directory (default: out)")
-    if web_flags:
-        p.add_argument(
-            "--builtin", choices=BUILTIN_WEB_NAMES, help="bundled example web"
-        )
-        p.add_argument(
-            "--web",
-            nargs=3,
-            metavar=("U1", "U2", "U3"),
-            help="three first-integral expressions",
-        )
-        p.add_argument("--a", help="family coefficient a(x)")
-        p.add_argument("--b", help="family coefficient b(x)")
-    p.add_argument(
-        "--box",
-        nargs=4,
-        type=float,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
-        help="domain box",
-    )
-    p.add_argument("--exclude", help="exclusion expression g(x,y)")
-    p.add_argument("--margin", type=float, help="exclusion margin (|g| >= margin)")
-    p.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"), help="report grid")
-    p.add_argument("--seeds", type=int, help="seeds per foliation")
-    p.add_argument("--max-arc", dest="max_arc", type=float, help="arc budget per direction")
-    p.add_argument("--tol-linearity", dest="tol_linearity", type=float)
-    p.add_argument("--tol-curvature", dest="tol_curvature", type=float)
-    p.add_argument("--tol-diffeo", dest="tol_diffeo", type=float)
-    p.add_argument("--tol-line", dest="tol_line", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,51 +476,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("analyze", help="general position and curvature survey")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("trace", help="trace leaves and export CSV")
-    _add_common(p)
-    p.add_argument("--foliation", type=int, choices=(1, 2, 3), help="which foliation")
-    p.add_argument(
-        "--seed",
-        dest="seed_point",
-        nargs=2,
-        type=float,
-        metavar=("X", "Y"),
-        help="trace the single leaf through this point",
-    )
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("hexagon", help="closure hexagons around a center")
-    _add_common(p)
-    p.add_argument("--center", nargs=2, type=float, metavar=("X", "Y"))
-    p.add_argument("--radii", nargs="+", type=float, metavar="R")
-    p.set_defaults(func=_cmd_hexagon)
-
-    p = sub.add_parser(
-        "verify-theorem",
-        help="full linearization pipeline for the bundled web",
-    )
-    _add_common(p)
-    p.add_argument(
-        "--map",
-        nargs="+",
-        metavar="M",
-        help="override the canonical map: 'identity' or two expressions",
-    )
-    p.set_defaults(func=_cmd_verify_theorem)
-
-    p = sub.add_parser("verify-map", help="does a given map linearize a given web?")
-    _add_common(p)
-    p.add_argument("--map", nargs="+", metavar="M", help="'identity' or two expressions")
-    p.set_defaults(func=_cmd_verify_map)
-
-    p = sub.add_parser("family", help="pipeline for webs x, y, a(x)x+b(x)y")
-    _add_common(p)
-    p.set_defaults(func=_cmd_family)
-
+    for name, func, help in (
+        ("analyze", _cmd_analyze, "general position and curvature survey"),
+        ("trace", _cmd_trace, "trace leaves and export CSV"),
+        ("hexagon", _cmd_hexagon, "closure hexagons around a center"),
+        ("verify-theorem", _cmd_verify_theorem, "full linearization pipeline for the bundled web"),
+        ("verify-map", _cmd_verify_map, "does a given map linearize a given web?"),
+        ("family", _cmd_family, "pipeline for webs x, y, a(x)x+b(x)y"),
+    ):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for s in SETTINGS:
+            if s.commands is None or name in s.commands:
+                p.add_argument(
+                    s.flag,
+                    dest=s.dest,
+                    type=None if s.type is str else s.type,
+                    nargs=s.nargs,
+                    choices=s.choices,
+                    metavar=s.metavar,
+                    help=s.help,
+                )
+        p.set_defaults(func=func)
     return ap
 
 
@@ -573,13 +506,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, NormalFormError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (TraceError, HexagonError, EvalDomainError) as exc:
+    except (TraceError, EvalDomainError) as exc:  # HexagonError is a TraceError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except TriwebError as exc:
+    except TriwebError as exc:  # parse, config and normal-form errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from triweb.cli import main
+from triweb.cli import SETTINGS, _config_from_sources, _json_fields, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys=None):
@@ -316,6 +321,113 @@ class TestConfigFile:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["verify-theorem", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("verify-theorem", {"grid": "ab"}, "grid"),
+            ("verify-theorem", {"grid": [3]}, "grid"),
+            ("verify-theorem", {"seeds": "many"}, "seeds"),
+            ("verify-theorem", {"seeds": 2.7}, "seeds"),
+            ("hexagon", {"center": 3}, "center"),
+            ("hexagon", {"radii": 0.1}, "radii"),
+            ("analyze", {"web": {"family": "x"}}, "web.family"),
+            ("analyze", {"web": {"integrals": ["x", "y"]}}, "web.integrals"),
+            ("analyze", {"web": {"builtin": "paper"}, "domain": {"box": [0, 1]}}, "domain.box"),
+            ("verify-theorem", {"max-arc": 0.001}, "max-arc"),
+            ("analyze", {"web": "paper"}, "web"),
+        ],
+    )
+    def test_malformed_or_unknown_key_exits_2(self, tmp_path, capsys, command, cfg, key):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_scenario_files_load(self):
+        paths = sorted((ROOT / "scenarios").glob("*.json"))
+        assert paths
+        for path in paths:
+            cfg = _config_from_sources(build_parser().parse_args(["analyze", "--config", str(path)]))
+            cfg.build_web()
+
+
+# Each subcommand's arguments as (option strings, dest, nargs, type, choices),
+# in order, exactly as the parser had them before the settings table.
+_COMMON_OPTIONS = [
+    (["--config"], "config", None, None, None),
+    (["--out"], "out", None, None, None),
+    (["--builtin"], "builtin", None, None, ("paper", "parallel", "product")),
+    (["--web"], "web", 3, None, None),
+    (["--a"], "a", None, None, None),
+    (["--b"], "b", None, None, None),
+    (["--box"], "box", 4, float, None),
+    (["--exclude"], "exclude", None, None, None),
+    (["--margin"], "margin", None, float, None),
+    (["--grid"], "grid", 2, int, None),
+    (["--seeds"], "seeds", None, int, None),
+    (["--max-arc"], "max_arc", None, float, None),
+    (["--tol-linearity"], "tol_linearity", None, float, None),
+    (["--tol-curvature"], "tol_curvature", None, float, None),
+    (["--tol-diffeo"], "tol_diffeo", None, float, None),
+    (["--tol-line"], "tol_line", None, float, None),
+]
+_MAP_OPTION = [(["--map"], "map", "+", None, None)]
+EXPECTED_OPTIONS = {
+    "parse": [([], "expr", "+", None, None), (["--at"], "at", 2, float, None)],
+    "analyze": _COMMON_OPTIONS,
+    "trace": _COMMON_OPTIONS
+    + [
+        (["--foliation"], "foliation", None, int, (1, 2, 3)),
+        (["--seed"], "seed_point", 2, float, None),
+    ],
+    "hexagon": _COMMON_OPTIONS
+    + [(["--center"], "center", 2, float, None), (["--radii"], "radii", "+", float, None)],
+    "verify-theorem": _COMMON_OPTIONS + _MAP_OPTION,
+    "verify-map": _COMMON_OPTIONS + _MAP_OPTION,
+    "family": _COMMON_OPTIONS,
+}
+
+
+class TestParserLayout:
+    def test_options_match_hand_written_parser(self):
+        ap = build_parser()
+        sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {
+            name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()
+        }
+        got = {
+            name: [(a.option_strings, a.dest, a.nargs, a.type, a.choices) for a in acts]
+            for name, acts in actions.items()
+        }
+        assert got == EXPECTED_OPTIONS
+        # no flag has a default, so an absent flag never overrides a config value
+        assert all(a.default is None for acts in actions.values() for a in acts)
+
+
+class TestReadmeMatchesSettings:
+    def test_schema_block_lists_every_config_key(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("### Config files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        data = json.loads(block)
+
+        def paths(obj, prefix=""):
+            for key, v in obj.items():
+                if isinstance(v, dict):
+                    yield from paths(v, prefix + key + ".")
+                else:
+                    yield prefix + key
+
+        assert set(paths(data)) == {s.json for s in SETTINGS if s.json}
+        _json_fields(data)  # every example value has the type its key takes
+
+    def test_common_knobs_list_every_common_flag(self):
+        text = (ROOT / "README.md").read_text()
+        knobs = text.split("common knobs:\n\n", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"--[a-z][a-z-]*", knobs)) == {
+            s.flag for s in SETTINGS if s.commands is None
+        }
 
 
 class TestVerifyMapCommand:

@@ -9,6 +9,7 @@ import pytest
 from triweb.outputs import (
     dump_json,
     fmt,
+    write_curvature_csv,
     write_defect_table_csv,
     write_hexagon_legs_csv,
     write_leaf_csv,
@@ -71,6 +72,21 @@ class TestLeafCsv:
         assert lines[0] == "foliation,level,arc,x,y,image"
         assert lines[1].endswith(",0")
         assert lines[-1].endswith(",1")
+
+
+class TestCurvatureCsv:
+    def test_fields_are_fmt(self, tmp_path):
+        xs = np.array([-0.0, 5e-324, 1e308, 0.1, 1e-5])
+        ys, ks = xs[::-1], -xs
+        p = tmp_path / "curvature.csv"
+        write_curvature_csv(p, xs, ys, ks)
+        text = p.read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert lines[0] == "x,y,K"
+        assert [line.split(",") for line in lines[1:]] == [
+            [fmt(x), fmt(y), fmt(k)] for x, y, k in zip(xs, ys, ks)
+        ]
 
 
 class TestHexagonCsv:
