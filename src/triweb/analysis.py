@@ -182,7 +182,7 @@ class HexagonFigure:
 
 
 def _value(program: Program, x: float, y: float) -> float:
-    return float(jet_coeffs(program, x, y)[0])
+    return jet_coeffs(program, x, y, order=1)[0]
 
 
 def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
@@ -243,8 +243,8 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     for _ in range(60):
         if abs(f_q) <= HEX_NEWTON_TOL:
             break
-        cj = jet_coeffs(leg_prog, q[0], q[1])
-        tj = jet_coeffs(tgt_prog, q[0], q[1])
+        cj = jet_coeffs(leg_prog, q[0], q[1], order=1)
+        tj = jet_coeffs(tgt_prog, q[0], q[1], order=1)
         norm = math.hypot(cj[1], cj[2])
         slope = (tj[1] * cj[2] - tj[2] * cj[1]) / norm if norm > 0 else 0.0
         s_new = s_q - f_q / slope if slope != 0.0 else 0.5 * (s_a + s_b)

@@ -146,9 +146,6 @@ class Jet3:
     def fyyy(self) -> float:
         return float(self._c[9])
 
-    def gradient(self) -> tuple[float, float]:
-        return self.fx, self.fy
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "Jet3") -> "Jet3":

@@ -1,13 +1,16 @@
-"""Order-3 jets of expressions, compiled to straight-line Python.
+"""Jets of expressions, compiled to straight-line Python.
 
-:func:`compile_expr` walks an :class:`~triweb.expr.Expr` once and emits
-Taylor-mode automatic differentiation as straight-line code for the ten
-jet slots of :mod:`triweb.jets` (Griewank & Walther, *Evaluating
+:func:`compile_expr` walks an :class:`~triweb.expr.Expr` and emits
+Taylor-mode automatic differentiation as straight-line code for the jet
+slots of :mod:`triweb.jets` (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
-be zero.  The same code runs on Python floats (:func:`jet_coeffs`) and on
-numpy arrays (:func:`jet_coeffs_many`), calling numpy's elementary
-functions in both, so a batch row equals the single-point result bit for
-bit.  Every op checks its domain and the finiteness of its result: a
+be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
+and gradient, the first three slots, computed by the same expressions so
+they agree bit for bit).  Single points run on Python floats
+(:func:`jet_coeffs`) at either order; batches run the order-3 code on
+numpy arrays (:func:`jet_coeffs_many`).  Both call numpy's elementary
+functions, so a batch row equals the single-point result bit for bit.
+Every op checks its domain and the finiteness of the slots it computes: a
 point raises :class:`EvalDomainError` naming the op's source fragment, a
 batch records the first failing op per point.  Programs are immutable and
 all functions pure, so concurrent use needs no coordination.
@@ -79,22 +82,48 @@ def _int_exponent(e: Expr):
 
 
 class _Emitter:
-    """The source of one expression's jet code.  A jet is a tuple of ten
-    slots, each a float known at generation time or the name of a value.
-    Products follow the Leibniz table; unary functions and reciprocals are
-    composed by Horner in du = u - u0 of the Taylor polynomial
-    g(u0) + g'(u0) du + g''(u0)/2 du^2 + g'''(u0)/6 du^3.  The generated
-    source holds only generated names and float literals."""
+    """The source of one expression's jet code through order ``order`` (1 or
+    3).  A jet is a tuple of the slots of total order at most ``order``, each
+    a float known at generation time or the name of a value.  Products
+    follow the Leibniz table truncated at ``order``; unary functions and
+    reciprocals are composed by Horner in du = u - u0 of the Taylor
+    polynomial g(u0) + g'(u0) du + g''(u0)/2 du^2 + g'''(u0)/6 du^3, cut
+    after du^order.  A check is kept as (condition, code, op index) until
+    :meth:`render` writes it for one binding.  The generated source holds
+    only generated names and float literals."""
 
-    def __init__(self, source: str | None):
+    def __init__(self, source: str | None, order: int):
         self.source = source
-        self.lines = ["def jet(x, y, check):"]
+        self.order = order
+        self.size = sum(1 for o in _ORDER if o <= order)
+        self.lines: list = []
         self.frags: list[str] = []
+        self.finite_names: set[str] = set()  # names a check has passed
 
     def let(self, code: str) -> str:
-        name = f"t{len(self.lines)}"
+        name = f"t{len(self.lines) + 1}"
         self.lines.append(f"    {name} = {code}")
         return name
+
+    def check(self, cond: str, code: int, k: int) -> None:
+        self.lines.append((cond, code, k))
+
+    def render(self, result, hook: bool) -> str:
+        """Source of the jet function.  With ``hook`` it takes a third
+        argument and calls ``check(bad, code, k)`` for every check;
+        otherwise each check is inline and calls ``fail(code, k, x, y)``."""
+        out = ["def jet(x, y, check):" if hook else "def jet(x, y):"]
+        for line in self.lines:
+            if isinstance(line, tuple):
+                cond, code, k = line
+                if hook:
+                    line = f"    check({cond}, {code}, {k})"
+                else:
+                    line = f"    if {cond}: fail({code}, {k}, x, y)"
+            out.append(line)
+        slots = ", ".join(v if isinstance(v, str) else _lit(v) for v in result)
+        out.append(f"    return ({slots})")
+        return "\n".join(out) + "\n"
 
     def op(self, node: Expr) -> int:
         lo, hi = node.span
@@ -106,18 +135,21 @@ class _Emitter:
         """Check an op's argument; a literal that fails goes on as nan."""
         test = "==" if code == ERR_DIV_ZERO else "<="
         arg = v if isinstance(v, str) else _lit(v)
-        self.lines.append(f"    check({arg} {test} 0.0, {code}, {k})")
+        self.check(f"{arg} {test} 0.0", code, k)
         failed = not isinstance(v, str) and (v == 0.0 if test == "==" else v <= 0.0)
         return math.nan if failed else v
 
     def finite(self, jet, k: int):
         # 0*v is a zero for finite v and nan otherwise, and never overflows
         if not all(math.isfinite(v) for v in jet if not isinstance(v, str)):
-            self.lines.append(f"    check(True, {ERR_NOT_FINITE}, {k})")
-        names = dict.fromkeys(v for v in jet if isinstance(v, str))
+            self.check("True", ERR_NOT_FINITE, k)
+        names = dict.fromkeys(
+            v for v in jet if isinstance(v, str) and v not in self.finite_names
+        )
+        self.finite_names.update(names)
         if names:
             zeros = " + ".join(f"0.0*{v}" for v in names)
-            self.lines.append(f"    check({zeros} != 0.0, {ERR_NOT_FINITE}, {k})")
+            self.check(f"{zeros} != 0.0", ERR_NOT_FINITE, k)
 
     def total(self, terms):
         """Slot holding the sum of (coefficient, factor names) terms."""
@@ -135,10 +167,15 @@ class _Emitter:
     def term(v, c: float = 1.0):
         return (c, [v]) if isinstance(v, str) else (c * v, [])
 
-    def mul(self, a, b, upto: int = 3):
-        """Truncated product; slots above order ``upto`` are left zero."""
+    def constant(self, v) -> tuple:
+        return (v,) + _ZERO[1 : self.size]
+
+    def mul(self, a, b, upto: int | None = None):
+        """Truncated product; slots above order ``upto`` (by default the
+        emitter's order) are left zero."""
+        upto = self.order if upto is None else upto
         out = []
-        for k in range(JET_SIZE):
+        for k in range(self.size):
             terms = []
             for i, j, w in _ROWS[k] if _ORDER[k] <= upto else ():
                 ci, fi = self.term(a[i], w)
@@ -150,15 +187,20 @@ class _Emitter:
     def unary(self, fn: str, u, k: int):
         recipe, code = _UNARY[fn]
         v = self.domain(u[0], code, k) if code else u[0]
+        stmts = [stmt.split(" = ") for stmt in recipe.split("; ")]
+        need = {f"g{m}" for m in range(self.order + 1)}
+        for name, expr in reversed(stmts):  # skip lines only g2, g3 use
+            if name in need:
+                need.update(_LOCAL.findall(expr))
         local = {"v": v if isinstance(v, str) else _lit(v)}
-        for stmt in recipe.split("; "):
-            name, expr = stmt.split(" = ")
-            expr = _LOCAL.sub(lambda m: local[m.group()], expr)
-            local[name] = expr if _TEMP.fullmatch(expr) else self.let(expr)
+        for name, expr in stmts:
+            if name in need:
+                expr = _LOCAL.sub(lambda m: local[m.group()], expr)
+                local[name] = expr if _TEMP.fullmatch(expr) else self.let(expr)
         du = (0.0,) + tuple(u[1:])
-        acc = (local["g3"],) + _ZERO[1:]
-        for upto, g in ((1, "g2"), (2, "g1"), (3, "g0")):
-            acc = (local[g],) + self.mul(acc, du, upto)[1:]
+        acc = self.constant(local[f"g{self.order}"])
+        for m in range(self.order - 1, -1, -1):
+            acc = (local[f"g{m}"],) + self.mul(acc, du, self.order - m)[1:]
         return acc
 
     def power(self, u, n: int, k: int):
@@ -166,7 +208,7 @@ class _Emitter:
             raise ValueError(
                 f"integer exponent {n} exceeds the supported magnitude {_MAX_INT_EXPONENT}"
             )
-        m, base, acc = abs(n), u, (1.0,) + _ZERO[1:]
+        m, base, acc = abs(n), u, self.constant(1.0)
         while m:
             if m & 1:
                 acc = self.mul(acc, base)
@@ -181,10 +223,10 @@ class _Emitter:
             self.op(node)  # negation keeps finite coefficients finite
             return tuple(self.total([self.term(v, -1.0)]) for v in a)
         if isinstance(node, Const):
-            k, j = self.op(node), (float(node.value),) + _ZERO[1:]
+            k, j = self.op(node), self.constant(float(node.value))
         elif isinstance(node, Var):
             k, v = self.op(node), "xy"[node.axis]
-            j = ((v, 1.0, 0.0) if node.axis == 0 else (v, 0.0, 1.0)) + _ZERO[3:]
+            j = ((v, 1.0, 0.0) if node.axis == 0 else (v, 0.0, 1.0)) + _ZERO[3 : self.size]
         elif isinstance(node, Call):
             a = self.jet(node.arg)
             k = self.op(node)
@@ -235,13 +277,19 @@ _ARRAY_NAMES = dict(_POINT_NAMES, exp=np.exp, log=np.log, sin=np.sin, cos=np.cos
 
 @dataclass(frozen=True)
 class Program:
-    """Generated order-3 jet code for one expression."""
+    """Generated jet code for one expression."""
 
     frags: tuple  # per-op source fragment, for error attribution
     source: str  # printable form of the whole expression
-    code: str  # the generated Python source
-    at_point: Callable = field(repr=False, compare=False)
+    code: str  # the generated order-3 source of the array binding
+    at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
     on_arrays: Callable = field(repr=False, compare=False)
+
+
+def _bind(code: str, names: dict) -> Callable:
+    namespace = dict(names)
+    exec(compile(code, "<triweb jet>", "exec"), namespace)
+    return namespace["jet"]
 
 
 def compile_expr(e: Expr | str, source: str | None = None) -> Program:
@@ -249,28 +297,21 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     if isinstance(e, str):
         source = e
         e = parse(e)
-    em = _Emitter(source)
-    result = em.jet(e)
-    slots = ", ".join(v if isinstance(v, str) else _lit(v) for v in result)
-    code = "\n".join(em.lines + [f"    return ({slots})"]) + "\n"
-    compiled = compile(code, "<triweb jet>", "exec")
-    bound = []
-    for names in (_POINT_NAMES, _ARRAY_NAMES):
-        namespace = dict(names)
-        exec(compiled, namespace)
-        bound.append(namespace["jet"])
+    emitters = [_Emitter(source, order) for order in (1, 3)]
+    results = [em.jet(e) for em in emitters]
+    frags = tuple(emitters[-1].frags)  # the same ops at every order
+
+    def fail(code: int, k: int, x: float, y: float):
+        raise EvalDomainError(_ERR_TEXT[code], frags[k], (x, y))
+
+    point_names = dict(_POINT_NAMES, fail=fail)
+    at_point = {
+        em.order: _bind(em.render(result, hook=False), point_names)
+        for em, result in zip(emitters, results)
+    }
+    code = emitters[-1].render(results[-1], hook=True)
     source = source if source is not None else to_text(e)
-    return Program(tuple(em.frags), source, code, bound[0], bound[1])
-
-
-class _Failure(Exception):
-    """Internal: (code, op index) of the op that failed at a single point."""
-
-
-def _raise(bad, code: int, k: int) -> None:
-    """Check hook of the point binding."""
-    if bad:
-        raise _Failure(code, k)
+    return Program(frags, source, code, at_point, _bind(code, _ARRAY_NAMES))
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:
@@ -280,17 +321,14 @@ def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> Non
     opidx[new] = k
 
 
-def jet_coeffs(program: Program, x: float, y: float) -> tuple:
-    """The ten order-3 jet coefficients at one point, as floats.
+def jet_coeffs(program: Program, x: float, y: float, order: int = 3) -> tuple:
+    """Jet coefficients at one point, as floats: the ten slots of
+    :mod:`triweb.jets` at order 3, (u, u_x, u_y) at order 1.
 
     Raises :class:`EvalDomainError` naming the offending subexpression
-    and point on any domain violation or overflow.
+    and point on any domain violation or overflow of a computed slot.
     """
-    try:
-        return program.at_point(float(x), float(y), _raise)
-    except _Failure as failure:
-        code, k = failure.args
-        raise EvalDomainError(_ERR_TEXT[code], program.frags[k], (x, y)) from None
+    return program.at_point[order](float(x), float(y))
 
 
 def jet_coeffs_many(program: Program, xs, ys):
@@ -337,5 +375,6 @@ def eval_jet3(e: Expr | str, point) -> Jet3:
 
 
 def gradient(e: Expr | str, point) -> tuple[float, float]:
-    """(df/dx, df/dy) at a point, projected out of the order-3 jet."""
-    return eval_jet3(e, point).gradient()
+    """(df/dx, df/dy) at a point, from the order-1 jet."""
+    _, fx, fy = jet_coeffs(compile_expr(e), point[0], point[1], order=1)
+    return fx, fy

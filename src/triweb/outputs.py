@@ -68,17 +68,19 @@ def dump_json(obj: dict, path: Path | str) -> None:
     Path(path).write_text(text)
 
 
-def _write_csv(path: Path | str, header: str, rows, footer: str = "") -> None:
-    """Stream ``rows`` (sequences of numbers, one per column of ``header``) as
-    CSV lines, every field in the form of ``fmt``; ``footer`` ends the file.
+def _write_csv(path: Path | str, header: str, blocks, footer: str = "") -> None:
+    """Write ``blocks`` as CSV lines under ``header``; ``footer`` ends the file.
 
-    Pass Python numbers (``ndarray.tolist()``): formatting numpy scalars one
-    by one costs several times more.
+    Each block is a 2-d array with one column per column of ``header``.  It
+    is turned into Python numbers once and formatted by one ``%`` over the
+    flat tuple, every field in the form of ``fmt``.  Integer columns come
+    out the same from a float array, since ``%.17g`` prints 3.0 as 3.
     """
-    line = ",".join([f"{{:.{CSV_FLOAT_DIGITS}g}}"] * (header.count(",") + 1)) + "\n"
+    line = ",".join([f"%.{CSV_FLOAT_DIGITS}g"] * (header.count(",") + 1)) + "\n"
     with Path(path).open("w") as f:
         f.write(header + "\n")
-        f.writelines(line.format(*row) for row in rows)
+        for block in blocks:
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
         f.write(footer)
 
 
@@ -88,33 +90,31 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
     ``leaves`` is an iterable of LeafPolyline, or of (LeafPolyline,
     image_flag) pairs when ``with_image`` is set.
     """
-    items = leaves if with_image else ((leaf, 0) for leaf in leaves)
-    # str.format ignores surplus arguments, so under the five-column header
-    # the image field is left out
-    rows = (
-        (leaf.foliation, leaf.level, arc, x, y, image)
-        for leaf, image in items
-        for arc, (x, y) in zip(leaf.arcs.tolist(), leaf.vertices.tolist())
-    )
-    _write_csv(path, LEAF_IMAGE_HEADER if with_image else LEAF_HEADER, rows)
+
+    def block(leaf, image=None):
+        n = len(leaf)
+        cols = [np.full(n, leaf.foliation), np.full(n, leaf.level), leaf.arcs, leaf.vertices]
+        return np.column_stack(cols + ([np.full(n, image)] if with_image else []))
+
+    blocks = (block(*item) for item in leaves) if with_image else map(block, leaves)
+    _write_csv(path, LEAF_IMAGE_HEADER if with_image else LEAF_HEADER, blocks)
 
 
 def write_curvature_csv(path: Path | str, xs, ys, kappa) -> None:
     """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays."""
     table = np.column_stack((xs, ys, kappa))
     n = _CSV_CHUNK_ROWS
-    rows = (row for i in range(0, len(table), n) for row in table[i : i + n].tolist())
-    _write_csv(path, CURVATURE_HEADER, rows)
+    _write_csv(path, CURVATURE_HEADER, (table[i : i + n] for i in range(0, len(table), n)))
 
 
 def write_hexagon_legs_csv(path: Path | str, figure: HexagonFigure) -> None:
     """Leg paths (leg 0 is the radius walk) plus a defect summary line."""
-    rows = ((i, x, y) for i, leg in enumerate(figure.legs) for x, y in leg.tolist())
-    _write_csv(path, HEXAGON_LEGS_HEADER, rows, footer=f"defect={fmt(figure.defect)}\n")
+    blocks = (np.column_stack((np.full(len(leg), i), leg)) for i, leg in enumerate(figure.legs))
+    _write_csv(path, HEXAGON_LEGS_HEADER, blocks, footer=f"defect={fmt(figure.defect)}\n")
 
 
 def write_defect_table_csv(path: Path | str, radii, defects) -> None:
-    _write_csv(path, DEFECT_TABLE_HEADER, zip(radii, defects))
+    _write_csv(path, DEFECT_TABLE_HEADER, [np.column_stack((radii, defects))])
 
 
 # ---------------------------------------------------------------------------

@@ -70,17 +70,17 @@ def apply_map(m: PlaneMap, p) -> tuple[float, float]:
     """Image of one point under the map."""
     p1, p2 = m.programs
     return (
-        float(jet_coeffs(p1, p[0], p[1])[0]),
-        float(jet_coeffs(p2, p[0], p[1])[0]),
+        jet_coeffs(p1, p[0], p[1], order=1)[0],
+        jet_coeffs(p2, p[0], p[1], order=1)[0],
     )
 
 
 def jacobian_det(m: PlaneMap, p) -> float:
     """Determinant of the Jacobian at a point, from first-order jets."""
     p1, p2 = m.programs
-    c1 = jet_coeffs(p1, p[0], p[1])
-    c2 = jet_coeffs(p2, p[0], p[1])
-    return float(c1[1] * c2[2] - c1[2] * c2[1])
+    c1 = jet_coeffs(p1, p[0], p[1], order=1)
+    c2 = jet_coeffs(p2, p[0], p[1], order=1)
+    return c1[1] * c2[2] - c1[2] * c2[1]
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,64 @@ DEFAULT_LINE_FORMULA_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
+def _exact_coordinates(points: np.ndarray) -> tuple[list, list]:
+    """x and y as Python integers on one common binary scale, so that
+    orientation tests on them are exact."""
+    mantissa, exponent = np.frexp(points)
+    mantissa = (mantissa * 2.0**53).astype(np.int64)  # exact, |mantissa| < 1
+    shift = (exponent - exponent.min()).ravel().tolist()
+    ints = [m << k for m, k in zip(mantissa.ravel().tolist(), shift)]
+    return ints[0::2], ints[1::2]
+
+
+def _convex_hull(xs: list, ys: list, order: list) -> list:
+    """Indices of the convex hull's vertices in counterclockwise order,
+    without collinear ones (Andrew's monotone chain); ``order`` sorts the
+    points by x, then y."""
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            px, py = xs[p], ys[p]
+            while len(out) >= 2:
+                a, b = out[-2], out[-1]
+                ax, ay = xs[a], ys[a]
+                if (xs[b] - ax) * (py - ay) - (ys[b] - ay) * (px - ax) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(order)[:-1] + chain(order[::-1])[:-1] or order[:1]
+
+
 def _diameter(points: np.ndarray) -> float:
-    dx = points[:, 0][:, None] - points[:, 0][None, :]
-    dy = points[:, 1][:, None] - points[:, 1][None, :]
+    """Largest distance between two of the points.  It is the distance of
+    an antipodal pair of the convex hull's vertices, which rotating
+    calipers enumerate (Preparata & Shamos, *Computational Geometry*,
+    1985), in O(n log n) time and O(n) memory.  The hull and the calipers
+    compare exact integer coordinates: nearly collinear sets, such as the
+    images of straightened leaves, defeat floating-point orientation tests."""
+    xs, ys = _exact_coordinates(points)
+    hull = _convex_hull(xs, ys, np.lexsort((points[:, 1], points[:, 0])).tolist())
+    h = len(hull)
+    # edge k runs from hull vertex k to vertex k + 1
+    ex = [xs[b] - xs[a] for a, b in zip(hull, hull[1:] + hull[:1])]
+    ey = [ys[b] - ys[a] for a, b in zip(hull, hull[1:] + hull[:1])]
+    far = []  # per edge, the position of the hull vertex farthest from its line
+    j = 1 % h
+    for i in range(h if h > 2 else 0):
+        while ex[i] * ey[j] - ey[i] * ex[j] > 0:
+            j = (j + 1) % h
+        far.append(j)
+    # the first and last vertex, then both ends of each edge with its far vertex
+    far = np.array(far, dtype=int)
+    edges = np.arange(far.size)
+    hull = np.array(hull)
+    p = hull[np.concatenate(([0], edges, (edges + 1) % h))]
+    q = hull[np.concatenate(([h - 1], far, far))]
+    dx = points[p, 0] - points[q, 0]
+    dy = points[p, 1] - points[q, 1]
     return float(np.sqrt(dx * dx + dy * dy).max())
 
 
@@ -74,6 +129,8 @@ def collinearity_residual(points) -> float:
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2 or P.shape[0] < 3:
         raise ValueError("collinearity_residual needs at least 3 plane points")
+    if not np.isfinite(P).all():
+        raise ValueError("point set has non-finite coordinates")
     diam = _diameter(P)
     if diam <= 1e-9:
         raise ValueError("point set has (near-)zero diameter")
@@ -117,7 +174,7 @@ def _seed_component(domain: Domain, seed) -> int:
     """Which side of the excluded locus the seed lies on (0: no locus)."""
     if domain.exclude_program is None:
         return 0
-    g = jet_coeffs(domain.exclude_program, seed[0], seed[1])[0]
+    g = jet_coeffs(domain.exclude_program, seed[0], seed[1], order=1)[0]
     return int(math.copysign(1.0, g)) if g != 0 else 0
 
 

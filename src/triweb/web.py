@@ -88,7 +88,7 @@ class Domain:
         if self._exclude_program is None:
             return True
         try:
-            g = jet_coeffs(self._exclude_program, p[0], p[1])[0]
+            g = jet_coeffs(self._exclude_program, p[0], p[1], order=1)[0]
         except EvalDomainError:
             return False
         return abs(g) >= self.margin
@@ -142,11 +142,11 @@ class Foliation:
         return self._program
 
     def value(self, p) -> float:
-        return float(jet_coeffs(self._program, p[0], p[1])[0])
+        return jet_coeffs(self._program, p[0], p[1], order=1)[0]
 
     def grad(self, p) -> tuple[float, float]:
-        c = jet_coeffs(self._program, p[0], p[1])
-        return float(c[1]), float(c[2])
+        _, gx, gy = jet_coeffs(self._program, p[0], p[1], order=1)
+        return gx, gy
 
 
 @dataclass(frozen=True)
@@ -387,8 +387,7 @@ class LeafPolyline:
 
 
 def _tangent(program: Program, x: float, y: float) -> tuple[float, float]:
-    c = jet_coeffs(program, x, y)
-    gx, gy = c[1], c[2]
+    _, gx, gy = jet_coeffs(program, x, y, order=1)
     n = math.hypot(gx, gy)
     if n < EPS_GRAD:
         raise _GradCollapse()
@@ -409,18 +408,17 @@ def _rk4_step(program: Program, x: float, y: float, h: float):
 def _project(program: Program, x: float, y: float, level: float):
     """Newton steps along the gradient back onto u = level."""
     for _ in range(PROJ_MAX_ITER):
-        c = jet_coeffs(program, x, y)
-        r = c[0] - level
+        u, gx, gy = jet_coeffs(program, x, y, order=1)
+        r = u - level
         if abs(r) <= PROJ_TOL:
             return x, y, True
-        gx, gy = c[1], c[2]
         n2 = gx * gx + gy * gy
         if n2 < EPS_GRAD * EPS_GRAD:
             raise _GradCollapse()
         x -= r * gx / n2
         y -= r * gy / n2
-    c = jet_coeffs(program, x, y)
-    return x, y, abs(c[0] - level) <= TOL_LEVEL
+    u = jet_coeffs(program, x, y, order=1)[0]
+    return x, y, abs(u - level) <= TOL_LEVEL
 
 
 def _advance(program: Program, level: float, x: float, y: float, ds: float):
@@ -470,7 +468,7 @@ def trace_leaf(
     x0, y0 = float(p0[0]), float(p0[1])
     if not domain.admissible((x0, y0)):
         raise TraceError(f"seed point ({x0}, {y0}) is not admissible")
-    c0 = jet_coeffs(fol.program, x0, y0)
+    c0 = jet_coeffs(fol.program, x0, y0, order=1)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at seed point ({x0}, {y0})")
     level = float(c0[0])
@@ -536,7 +534,7 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float,
     or the gradient degenerates.
     """
     x, y = float(p0[0]), float(p0[1])
-    c0 = jet_coeffs(fol.program, x, y)
+    c0 = jet_coeffs(fol.program, x, y, order=1)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")
     return _walk_path(fol.program, float(c0[0]), x, y, arc, domain)[-1]

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -11,9 +12,18 @@ from pathlib import Path
 
 import pytest
 
+import triweb
 from triweb.cli import SETTINGS, _config_from_sources, _json_fields, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child_env() -> dict:
+    """This environment with the imported triweb's source root first on
+    PYTHONPATH, so a child interpreter runs the same package."""
+    src = str(Path(triweb.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def run(argv, capsys=None):
@@ -503,6 +513,7 @@ class TestModuleEntryPoint:
             capture_output=True,
             text=True,
             timeout=300,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "parallelizable" in proc.stdout
@@ -575,6 +586,7 @@ class TestMoreCommandPaths:
             capture_output=True,
             text=True,
             timeout=300,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "x+y"

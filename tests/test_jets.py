@@ -216,6 +216,60 @@ class TestEvaluatorErrors:
         assert eval_jet3("x^3", (-2.0, 0.0)).value == -8.0
 
 
+# every point-error case above and in TestBatch, as (text, point)
+_POINT_ERRORS = [
+    ("ln(x-2)", (0.5, 0.0)),
+    ("sqrt(x)", (-1.0, 0.0)),
+    ("1/(x-1)", (1.0, 0.0)),
+    ("exp(1000*x)", (1.0, 0.0)),
+    ("1/exp(1000*x)", (1.0, 0.0)),
+    ("x^-2", (0.0, 0.0)),
+    ("x^0.5", (-1.0, 0.0)),
+    ("ln(x)", (-1.0, 0.0)),
+    ("sqrt(1-x*x-y*y)", (2.0, 0.0)),
+    ("sqrt(1-x*x-y*y)", (0.5, 3.0)),
+]
+
+
+class TestOrderOne:
+    """The order-1 binding computes (u, u_x, u_y) by the same expressions
+    as slots 0-2 of the order-3 jet, and checks only those slots."""
+
+    @pytest.mark.parametrize("text,point", CORPUS)
+    def test_corpus_bitwise(self, text, point):
+        prog = compile_expr(text)
+        assert jet_coeffs(prog, *point, order=1) == jet_coeffs(prog, *point)[:3]
+
+    def test_random_pairs_bitwise(self):
+        for e, p in random_expression_pairs(100):
+            prog = compile_expr(e)
+            assert jet_coeffs(prog, *p, order=1) == jet_coeffs(prog, *p)[:3], (str(e), p)
+
+    @pytest.mark.parametrize("text,point", _POINT_ERRORS)
+    def test_same_error_as_order_3(self, text, point):
+        prog = compile_expr(text)
+        with pytest.raises(EvalDomainError) as order3:
+            jet_coeffs(prog, *point)
+        with pytest.raises(EvalDomainError) as order1:
+            jet_coeffs(prog, *point, order=1)
+        assert str(order1.value) == str(order3.value)
+        assert order1.value.fragment == order3.value.fragment
+        assert order1.value.point == order3.value.point == point
+
+    def test_unused_second_order_slot_may_overflow(self):
+        # g'' of sqrt is -x^(-3/2)/4, which overflows at x = 1e-300; order 3
+        # must fail there, order 1 never computes it
+        prog = compile_expr("sqrt(x)")
+        with pytest.raises(EvalDomainError, match="non-finite") as exc:
+            jet_coeffs(prog, 1e-300, 0.0)
+        assert exc.value.fragment == "sqrt(x)"
+        assert jet_coeffs(prog, 1e-300, 0.0, order=1) == (1e-150, 5e149, 0.0)
+
+    def test_gradient_is_order_1(self):
+        prog = compile_expr("sqrt(x)*y")
+        assert gradient("sqrt(x)*y", (1e-300, 2.0)) == jet_coeffs(prog, 1e-300, 2.0, order=1)[1:]
+
+
 class TestBatch:
     def test_batch_matches_single(self):
         prog = compile_expr(parse(WEB_FN))

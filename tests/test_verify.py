@@ -1,6 +1,7 @@
 """Linearity certificates and the full verification pipelines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from triweb.errors import ConfigError, TraceError
 from triweb.expr import parse
 from triweb.transform import identity_map, linearizing_map
 from triweb.verify import (
+    _diameter,
     collinearity_residual,
     diagonal_seeds,
     foliation_linearity,
@@ -77,6 +79,63 @@ class TestCollinearityResidual:
         pts = _curved_leaf_points()
         base = collinearity_residual(pts)
         assert abs(collinearity_residual(pts * scale) - base) <= 1e-12
+
+
+def _brute_diameter(pts: np.ndarray) -> float:
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((d * d).sum(axis=2)).max())
+
+
+# quarter-integer coordinates: every hull and caliper test is exact in
+# floating point too, and ties, duplicates, collinear runs and parallel
+# edges are common
+_grid_point = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
+    lambda p: (p[0] / 4, p[1] / 4)
+)
+_any_point = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+class TestDiameter:
+    @given(pts=st.lists(_grid_point, min_size=1, max_size=40))
+    def test_matches_brute_force_exactly(self, pts):
+        pts = np.array(pts, dtype=float)
+        assert _diameter(pts) == _brute_diameter(pts)
+
+    @given(pts=st.lists(_any_point, min_size=1, max_size=40))
+    def test_matches_brute_force(self, pts):
+        # exact up to pairs whose distances tie within rounding
+        pts = np.array(pts, dtype=float)
+        assert math.isclose(_diameter(pts), _brute_diameter(pts), rel_tol=1e-15)
+
+    def test_rounded_lines(self):
+        # points of a line, computed in floating point, lie off it by
+        # rounding, as the images of straightened leaves do; floating-point
+        # orientation tests on them gave as little as half the diameter
+        t = np.linspace(-1.0, 1.3, 300)
+        for c in (0.1, 0.7, 1.3):
+            for pts in (
+                np.column_stack(((c + t) * math.exp(-c), t)),
+                np.column_stack((np.full_like(t, math.exp(-c)) * c, t * math.pi)),
+            ):
+                assert _diameter(pts) == _brute_diameter(pts)
+
+    def test_arc(self):
+        t = np.linspace(0.0, 3.0, 301)
+        arc = np.column_stack((np.cos(t), np.sin(t)))
+        assert _diameter(arc) == _brute_diameter(arc)
+
+    def test_memory_is_linear(self):
+        # 4,001 vertices is a --max-arc 20 leaf; pairwise matrices took
+        # about 489 MiB here
+        t = np.linspace(0.0, 6.0, 4001)
+        pts = np.column_stack((t, np.exp(-t) * np.sin(3.0 * t)))
+        tracemalloc.start()
+        try:
+            collinearity_residual(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSeeds:
