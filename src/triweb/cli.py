@@ -54,6 +54,7 @@ from .verify import (
 from .web import (
     BUILTIN_WEB_NAMES,
     DEFAULT_GRID,
+    H_STEP,
     Domain,
     Foliation,
     ThreeWeb,
@@ -67,6 +68,11 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+
+# work caps, checked before anything is allocated: grid points of a report
+# grid (1000 x 1000), and integrator steps per leaf direction (max-arc 1000)
+MAX_GRID_POINTS = 1_000_000
+MAX_TRACE_STEPS = 100_000
 
 
 @dataclass
@@ -97,6 +103,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ConfigError(f"grid must be at least 2x2, got {self.grid}")
+        if self.grid[0] * self.grid[1] > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid {self.grid[0]}x{self.grid[1]} exceeds the cap of {MAX_GRID_POINTS} points"
+            )
         for name in ("tol_linearity", "tol_curvature", "tol_diffeo", "tol_line"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name.replace('_', '-')} must be positive")
@@ -104,6 +114,11 @@ class RunConfig:
             raise ConfigError("seeds must be at least 1")
         if self.max_arc <= 0:
             raise ConfigError("max-arc must be positive")
+        if not self.max_arc / H_STEP <= MAX_TRACE_STEPS:  # also rejects nan and inf
+            raise ConfigError(
+                f"max-arc {self.max_arc:g} exceeds the cap of {MAX_TRACE_STEPS} steps of "
+                f"{H_STEP:g} per direction (max-arc {MAX_TRACE_STEPS * H_STEP:g})"
+            )
 
     # -- web construction --------------------------------------------------
 
@@ -162,8 +177,10 @@ class Setting(NamedTuple):
     ``name`` the RunConfig field, by default the path's last component.
     ``type`` is the type of each value and ``nargs`` the flag's arity; a
     config value mirrors it: a scalar for None, else a list.  ``commands``
-    names the subcommands that take the flag, None meaning every command but
-    ``parse``.  ``dest`` is needed only where argparse's own differs.
+    names exactly the subcommands that read the setting and so take the
+    flag, None meaning every command but ``parse``; a config file may still
+    hold keys its command does not read.  ``dest`` is needed only where
+    argparse's own differs.
     """
 
     flag: str
@@ -182,24 +199,36 @@ class Setting(NamedTuple):
         return self.name or self.json.rpartition(".")[2]
 
 
+# the commands that read each group of settings: a command takes a flag
+# only if it reads the setting, so argparse rejects any other flag
+_WEB_COMMANDS = ("analyze", "trace", "hexagon", "verify-map")  # RunConfig.build_web
+_PIPELINE = ("verify-theorem", "verify-map", "family")
 SETTINGS = (
     Setting("--out", "out", help="output directory (default: out)"),
-    Setting("--builtin", "web.builtin", choices=BUILTIN_WEB_NAMES, help="bundled example web"),
-    Setting("--web", "web.integrals", nargs=3, metavar=("U1", "U2", "U3"),
+    Setting("--builtin", "web.builtin", commands=_WEB_COMMANDS + ("verify-theorem",),
+            choices=BUILTIN_WEB_NAMES, help="bundled example web"),
+    Setting("--web", "web.integrals", nargs=3, commands=_WEB_COMMANDS, metavar=("U1", "U2", "U3"),
             help="three first-integral expressions"),
-    Setting("--a", "web.family.a", name="family_a", help="family coefficient a(x)"),
-    Setting("--b", "web.family.b", name="family_b", help="family coefficient b(x)"),
+    Setting("--a", "web.family.a", name="family_a", commands=_WEB_COMMANDS + ("family",),
+            help="family coefficient a(x)"),
+    Setting("--b", "web.family.b", name="family_b", commands=_WEB_COMMANDS + ("family",),
+            help="family coefficient b(x)"),
     Setting("--box", "domain.box", float, 4, metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
             help="domain box"),
     Setting("--exclude", "domain.exclude", help="exclusion expression g(x,y)"),
     Setting("--margin", "domain.margin", float, help="exclusion margin (|g| >= margin)"),
-    Setting("--grid", "grid", int, 2, metavar=("NX", "NY"), help="report grid"),
-    Setting("--seeds", "seeds", int, help="seeds per foliation"),
-    Setting("--max-arc", "max_arc", float, help="arc budget per direction"),
-    Setting("--tol-linearity", "tolerances.linearity", float, name="tol_linearity"),
-    Setting("--tol-curvature", "tolerances.curvature", float, name="tol_curvature"),
-    Setting("--tol-diffeo", "tolerances.diffeo", float, name="tol_diffeo"),
-    Setting("--tol-line", "tolerances.line_formula", float, name="tol_line"),
+    Setting("--grid", "grid", int, 2, commands=("analyze",) + _PIPELINE, metavar=("NX", "NY"),
+            help="report grid"),
+    Setting("--seeds", "seeds", int, commands=("trace",) + _PIPELINE, help="seeds per foliation"),
+    Setting("--max-arc", "max_arc", float, commands=("trace",) + _PIPELINE,
+            help="arc budget per direction"),
+    Setting("--tol-linearity", "tolerances.linearity", float, name="tol_linearity",
+            commands=_PIPELINE),
+    Setting("--tol-curvature", "tolerances.curvature", float, name="tol_curvature",
+            commands=("analyze",)),
+    Setting("--tol-diffeo", "tolerances.diffeo", float, name="tol_diffeo", commands=_PIPELINE),
+    Setting("--tol-line", "tolerances.line_formula", float, name="tol_line",
+            commands=("verify-theorem", "family")),
     Setting("--foliation", "foliation", int, commands=("trace",), choices=(1, 2, 3),
             help="which foliation"),
     Setting("--seed", None, float, 2, name="seed_point", dest="seed_point", commands=("trace",),
@@ -329,10 +358,11 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, verify, *args, **kwargs) -> int
         f"(min |det J| {dif.min_abs_det:.6g}, threshold {dif.threshold:.6g})"
     )
     for r in report.foliations:
+        flags = f", {len(r.flags)} truncation flags" if r.flags else ""
         print(
             f"foliation F{r.foliation} images: "
             f"{'linear' if r.verdict else 'NOT linear'} "
-            f"(max residual {r.max_residual:.6g}, tol {r.tol:.6g})"
+            f"(max residual {r.max_residual:.6g}, tol {r.tol:.6g}{flags})"
         )
     if report.line_check is not None:
         lc = report.line_check
@@ -484,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-map", _cmd_verify_map, "does a given map linearize a given web?"),
         ("family", _cmd_family, "pipeline for webs x, y, a(x)x+b(x)y"),
     ):
-        p = sub.add_parser(name, help=help)
+        # no abbreviations: verify-map would read --tol-line as --tol-linearity
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for s in SETTINGS:
             if s.commands is None or name in s.commands:

@@ -71,16 +71,18 @@ def dump_json(obj: dict, path: Path | str) -> None:
 def _write_csv(path: Path | str, header: str, blocks, footer: str = "") -> None:
     """Write ``blocks`` as CSV lines under ``header``; ``footer`` ends the file.
 
-    Each block is a 2-d array with one column per column of ``header``.  It
-    is turned into Python numbers once and formatted by one ``%`` over the
-    flat tuple, every field in the form of ``fmt``.  Integer columns come
-    out the same from a float array, since ``%.17g`` prints 3.0 as 3.
+    Each block is ``(lead, table, trail)``: a 2-d array of the varying
+    columns, and the text of the constant columns before and after them,
+    formatted once by ``fmt``.  The table is turned into Python numbers
+    once and formatted by one ``%`` over the flat tuple, every field in the
+    form of ``fmt``.
     """
-    line = ",".join([f"%.{CSV_FLOAT_DIGITS}g"] * (header.count(",") + 1)) + "\n"
+    field = f"%.{CSV_FLOAT_DIGITS}g"
     with Path(path).open("w") as f:
         f.write(header + "\n")
-        for block in blocks:
-            f.write(line * len(block) % tuple(block.ravel().tolist()))
+        for lead, table, trail in blocks:
+            line = lead + ",".join([field] * table.shape[1]) + trail + "\n"
+            f.write(line * len(table) % tuple(table.ravel().tolist()))
         f.write(footer)
 
 
@@ -92,9 +94,9 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
     """
 
     def block(leaf, image=None):
-        n = len(leaf)
-        cols = [np.full(n, leaf.foliation), np.full(n, leaf.level), leaf.arcs, leaf.vertices]
-        return np.column_stack(cols + ([np.full(n, image)] if with_image else []))
+        lead = f"{fmt(leaf.foliation)},{fmt(leaf.level)},"
+        trail = "," + fmt(image) if with_image else ""
+        return lead, np.column_stack((leaf.arcs, leaf.vertices)), trail
 
     blocks = (block(*item) for item in leaves) if with_image else map(block, leaves)
     _write_csv(path, LEAF_IMAGE_HEADER if with_image else LEAF_HEADER, blocks)
@@ -102,19 +104,19 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
 
 def write_curvature_csv(path: Path | str, xs, ys, kappa) -> None:
     """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays."""
-    table = np.column_stack((xs, ys, kappa))
-    n = _CSV_CHUNK_ROWS
-    _write_csv(path, CURVATURE_HEADER, (table[i : i + n] for i in range(0, len(table), n)))
+    table, n = np.column_stack((xs, ys, kappa)), _CSV_CHUNK_ROWS
+    chunks = (table[i : i + n] for i in range(0, len(table), n))
+    _write_csv(path, CURVATURE_HEADER, (("", chunk, "") for chunk in chunks))
 
 
 def write_hexagon_legs_csv(path: Path | str, figure: HexagonFigure) -> None:
     """Leg paths (leg 0 is the radius walk) plus a defect summary line."""
-    blocks = (np.column_stack((np.full(len(leg), i), leg)) for i, leg in enumerate(figure.legs))
+    blocks = ((fmt(i) + ",", leg, "") for i, leg in enumerate(figure.legs))
     _write_csv(path, HEXAGON_LEGS_HEADER, blocks, footer=f"defect={fmt(figure.defect)}\n")
 
 
 def write_defect_table_csv(path: Path | str, radii, defects) -> None:
-    _write_csv(path, DEFECT_TABLE_HEADER, [np.column_stack((radii, defects))])
+    _write_csv(path, DEFECT_TABLE_HEADER, [("", np.column_stack((radii, defects)), "")])
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +156,14 @@ def write_svg(
     scale = width / (xmax - xmin)
     height = (ymax - ymin) * scale
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return (x - xmin) * scale, (ymax - y) * scale
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_svg_fmt(width)}" '
         f'height="{_svg_fmt(height)}" viewBox="0 0 {_svg_fmt(width)} {_svg_fmt(height)}">',
         f'<rect width="{_svg_fmt(width)}" height="{_svg_fmt(height)}" fill="white"/>',
     ]
-    bx0, by0 = to_px(domain.box[0], domain.box[3])
-    bx1, by1 = to_px(domain.box[1], domain.box[2])
+    bx0, by0 = (domain.box[0] - xmin) * scale, (ymax - domain.box[3]) * scale
+    bx1, by1 = (domain.box[1] - xmin) * scale, (ymax - domain.box[2]) * scale
     parts.append(
         f'<rect x="{_svg_fmt(bx0)}" y="{_svg_fmt(by0)}" '
         f'width="{_svg_fmt(bx1 - bx0)}" height="{_svg_fmt(by1 - by0)}" '
@@ -173,10 +172,10 @@ def write_svg(
     for leaf, image in leaves:
         if len(leaf) < 2:
             continue
-        pts = " ".join(
-            f"{_svg_fmt(px)},{_svg_fmt(py)}"
-            for px, py in (to_px(x, y) for x, y in leaf.vertices)
-        )
+        # the same IEEE operations per vertex as (x - xmin) * scale on floats
+        v = leaf.vertices
+        px = np.column_stack(((v[:, 0] - xmin) * scale, (ymax - v[:, 1]) * scale))
+        pts = ("%.6g,%.6g " * len(v) % tuple(px.ravel().tolist()))[:-1]
         color = _FOLIATION_COLORS.get(leaf.foliation, _FOLIATION_COLORS[0])
         dash = ' stroke-dasharray="6 4"' if image else ""
         parts.append(

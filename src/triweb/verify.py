@@ -197,6 +197,7 @@ class LinearityReport:
     max_residual: float
     tol: float
     verdict: bool
+    flags: tuple  # (seed index, truncation flag) per flag of a traced leaf
 
     def to_dict(self) -> dict:
         return {
@@ -209,6 +210,7 @@ class LinearityReport:
             "levels": list(self.levels),
             "seeds": [[s[0], s[1]] for s in self.seeds],
             "components": list(self.components),
+            "flags": [[i, flag] for i, flag in self.flags],
         }
 
 
@@ -310,6 +312,7 @@ def _linearity_from_traces(web, fol_index, m, traces, seeds, tol) -> LinearityRe
         max_residual=float(max_res),
         tol=tol,
         verdict=bool(max_res <= tol),
+        flags=tuple((i, flag) for i, (pre, _) in enumerate(traces) for flag in pre.flags),
     )
 
 

@@ -13,7 +13,16 @@ from pathlib import Path
 import pytest
 
 import triweb
-from triweb.cli import SETTINGS, _config_from_sources, _json_fields, build_parser, main
+from triweb.cli import (
+    MAX_GRID_POINTS,
+    SETTINGS,
+    RunConfig,
+    _config_from_sources,
+    _json_fields,
+    build_parser,
+    main,
+)
+from triweb.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -116,6 +125,7 @@ class TestVerifyTheoremOutputs:
         assert len(rep["foliations"]) == 3
         assert rep["line_formula"]["verdict"] is True
         assert all(len(f["seeds"]) == 7 for f in rep["foliations"])
+        assert all(f["flags"] == [] for f in rep["foliations"])
 
     def test_leaf_csv_schema(self, outdir):
         header, rows = read_csv(outdir / "leaves_f3.csv")
@@ -363,39 +373,44 @@ class TestConfigFile:
 
 
 # Each subcommand's arguments as (option strings, dest, nargs, type, choices),
-# in order, exactly as the parser had them before the settings table.
-_COMMON_OPTIONS = [
-    (["--config"], "config", None, None, None),
-    (["--out"], "out", None, None, None),
-    (["--builtin"], "builtin", None, None, ("paper", "parallel", "product")),
-    (["--web"], "web", 3, None, None),
-    (["--a"], "a", None, None, None),
-    (["--b"], "b", None, None, None),
+# in order.  The options are those of the parser before the settings table,
+# less every flag that its command never read.
+_CONFIG = (["--config"], "config", None, None, None)
+_OUT = (["--out"], "out", None, None, None)
+_BUILTIN = (["--builtin"], "builtin", None, None, ("paper", "parallel", "product"))
+_WEB = (["--web"], "web", 3, None, None)
+_FAMILY = [(["--a"], "a", None, None, None), (["--b"], "b", None, None, None)]
+_DOMAIN = [
     (["--box"], "box", 4, float, None),
     (["--exclude"], "exclude", None, None, None),
     (["--margin"], "margin", None, float, None),
-    (["--grid"], "grid", 2, int, None),
+]
+_GRID = (["--grid"], "grid", 2, int, None)
+_TRACING = [
     (["--seeds"], "seeds", None, int, None),
     (["--max-arc"], "max_arc", None, float, None),
-    (["--tol-linearity"], "tol_linearity", None, float, None),
-    (["--tol-curvature"], "tol_curvature", None, float, None),
-    (["--tol-diffeo"], "tol_diffeo", None, float, None),
-    (["--tol-line"], "tol_line", None, float, None),
 ]
-_MAP_OPTION = [(["--map"], "map", "+", None, None)]
+_TOL_LINEARITY = (["--tol-linearity"], "tol_linearity", None, float, None)
+_TOL_DIFFEO = (["--tol-diffeo"], "tol_diffeo", None, float, None)
+_TOL_LINE = (["--tol-line"], "tol_line", None, float, None)
+_MAP = (["--map"], "map", "+", None, None)
+_ANY_WEB = [_CONFIG, _OUT, _BUILTIN, _WEB, *_FAMILY, *_DOMAIN]
 EXPECTED_OPTIONS = {
     "parse": [([], "expr", "+", None, None), (["--at"], "at", 2, float, None)],
-    "analyze": _COMMON_OPTIONS,
-    "trace": _COMMON_OPTIONS
+    "analyze": _ANY_WEB + [_GRID, (["--tol-curvature"], "tol_curvature", None, float, None)],
+    "trace": _ANY_WEB
+    + _TRACING
     + [
         (["--foliation"], "foliation", None, int, (1, 2, 3)),
         (["--seed"], "seed_point", 2, float, None),
     ],
-    "hexagon": _COMMON_OPTIONS
+    "hexagon": _ANY_WEB
     + [(["--center"], "center", 2, float, None), (["--radii"], "radii", "+", float, None)],
-    "verify-theorem": _COMMON_OPTIONS + _MAP_OPTION,
-    "verify-map": _COMMON_OPTIONS + _MAP_OPTION,
-    "family": _COMMON_OPTIONS,
+    "verify-theorem": [_CONFIG, _OUT, _BUILTIN, *_DOMAIN, _GRID, *_TRACING]
+    + [_TOL_LINEARITY, _TOL_DIFFEO, _TOL_LINE, _MAP],
+    "verify-map": _ANY_WEB + [_GRID, *_TRACING, _TOL_LINEARITY, _TOL_DIFFEO, _MAP],
+    "family": [_CONFIG, _OUT, *_FAMILY, *_DOMAIN, _GRID, *_TRACING]
+    + [_TOL_LINEARITY, _TOL_DIFFEO, _TOL_LINE],
 }
 
 
@@ -438,6 +453,90 @@ class TestReadmeMatchesSettings:
         assert set(re.findall(r"--[a-z][a-z-]*", knobs)) == {
             s.flag for s in SETTINGS if s.commands is None
         }
+
+    def test_flag_table_lists_each_flags_commands(self):
+        text = (ROOT / "README.md").read_text()
+        rows = re.findall(r"^\| (`--.*) \| ([a-z, -]+) \|$", text, re.MULTILINE)
+        table = {
+            flag: set(commands.split(", "))
+            for flags, commands in rows
+            for flag in re.findall(r"`(--[a-z][a-z-]*)", flags)
+        }
+        assert table == {s.flag: set(s.commands) for s in SETTINGS if s.commands is not None}
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hexagon", "--builtin", "paper", "--center", "0", "0", "--radii", "0.1",
+             "--seeds", "99", "--tol-diffeo", "5", "--grid", "2", "2"],
+            ["family", "--builtin", "paper", "--a", "1", "--b", "2"],
+            ["verify-theorem", "--web", "x", "y", "x+y"],
+            ["verify-map", "--builtin", "paper", "--map", "identity", "--tol-line", "1"],
+            ["analyze", "--builtin", "paper", "--max-arc", "1"],
+            ["trace", "--builtin", "paper", "--tol-curvature", "1"],
+        ],
+    )
+    def test_flag_the_command_never_reads_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_keys_the_command_never_reads_are_accepted(self, tmp_path):
+        p = tmp_path / "run.json"
+        cfg = {"web": {"builtin": "paper"}, "center": [0, 0], "radii": [0.1], "seeds": 99,
+               "grid": [2, 2], "tolerances": {"diffeo": 5}, "map": "identity"}
+        p.write_text(json.dumps(cfg))
+        assert main(["hexagon", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
+class TestWorkCaps:
+    def test_validate_rejects_work_above_the_caps(self):
+        for cfg in (
+            RunConfig(grid=(1001, 1000)),
+            RunConfig(grid=(2, MAX_GRID_POINTS // 2 + 1)),
+            RunConfig(max_arc=1000.01),
+            RunConfig(max_arc=math.inf),
+            RunConfig(max_arc=math.nan),
+        ):
+            with pytest.raises(ConfigError, match="cap"):
+                cfg.validate()
+
+    def test_caps_admit_the_largest_runs(self):
+        RunConfig(grid=(1000, 1000), max_arc=1000.0).validate()
+        RunConfig(grid=(500, 500)).validate()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--builtin", "paper", "--grid", "1001", "1000"],
+            ["verify-theorem", "--max-arc", "inf"],
+        ],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+
+
+class TestTruncationFlags:
+    def test_domain_exit_reaches_report_and_summary(self, tmp_path, capsys):
+        # F3's leaves y + sqrt(x+1) = c end at (-1, c), where sqrt stops
+        # being differentiable: tracing towards it stops with domain_exit.
+        # The exclusion sqrt(x+1) cannot be evaluated at x <= -1, so no
+        # grid point or seed lies there.
+        argv = ["verify-map", "--web", "x", "y", "y+sqrt(x+1)", "--exclude", "sqrt(x+1)",
+                "--margin", "0", "--map", "identity", "--seeds", "3", "--max-arc", "2"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert [f["flags"] for f in rep["foliations"]] == [
+            [], [], [[0, "backward:domain_exit"], [1, "backward:domain_exit"]]
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.endswith(", 2 truncation flags)") for line in lines[2:5]] == [
+            False, False, True
+        ]
 
 
 class TestVerifyMapCommand:

@@ -2,20 +2,23 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from triweb.outputs import (
+    _FOLIATION_COLORS,
     dump_json,
     fmt,
     write_curvature_csv,
     write_defect_table_csv,
     write_hexagon_legs_csv,
     write_leaf_csv,
+    write_svg,
 )
 from triweb.analysis import hexagon_defect
-from triweb.web import LeafPolyline
+from triweb.web import Domain, LeafPolyline
 
 
 class TestFloatFormat:
@@ -106,3 +109,152 @@ class TestHexagonCsv:
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "r,defect"
         assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: the per-row blocks and the per-value SVG loop that the
+# template writers replaced.  The writers must reproduce their bytes.
+# ---------------------------------------------------------------------------
+
+
+def _reference_csv(path, header, blocks, footer=""):
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for block in blocks:
+            f.write(line * len(block) % tuple(block.ravel().tolist()))
+        f.write(footer)
+
+
+def reference_leaf_csv(path, leaves, with_image=False):
+    def block(leaf, image=None):
+        n = len(leaf)
+        cols = [np.full(n, leaf.foliation), np.full(n, leaf.level), leaf.arcs, leaf.vertices]
+        return np.column_stack(cols + ([np.full(n, image)] if with_image else []))
+
+    blocks = (block(*item) for item in leaves) if with_image else map(block, leaves)
+    header = "foliation,level,arc,x,y,image" if with_image else "foliation,level,arc,x,y"
+    _reference_csv(path, header, blocks)
+
+
+def reference_hexagon_legs_csv(path, figure):
+    blocks = (np.column_stack((np.full(len(leg), i), leg)) for i, leg in enumerate(figure.legs))
+    _reference_csv(path, "leg,x,y", blocks, footer=f"defect={fmt(figure.defect)}\n")
+
+
+def reference_svg(path, domain, leaves, width=640.0):
+    def svg_fmt(v):
+        return format(v, ".6g")
+
+    leaves = list(leaves)
+    xmin, xmax, ymin, ymax = domain.box
+    for leaf, _ in leaves:
+        if len(leaf) == 0:
+            continue
+        xmin = min(xmin, float(leaf.vertices[:, 0].min()))
+        xmax = max(xmax, float(leaf.vertices[:, 0].max()))
+        ymin = min(ymin, float(leaf.vertices[:, 1].min()))
+        ymax = max(ymax, float(leaf.vertices[:, 1].max()))
+    pad = 0.03 * max(xmax - xmin, ymax - ymin)
+    xmin, xmax = xmin - pad, xmax + pad
+    ymin, ymax = ymin - pad, ymax + pad
+    scale = width / (xmax - xmin)
+    height = (ymax - ymin) * scale
+
+    def to_px(x, y):
+        return (x - xmin) * scale, (ymax - y) * scale
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{svg_fmt(width)}" '
+        f'height="{svg_fmt(height)}" viewBox="0 0 {svg_fmt(width)} {svg_fmt(height)}">',
+        f'<rect width="{svg_fmt(width)}" height="{svg_fmt(height)}" fill="white"/>',
+    ]
+    bx0, by0 = to_px(domain.box[0], domain.box[3])
+    bx1, by1 = to_px(domain.box[1], domain.box[2])
+    parts.append(
+        f'<rect x="{svg_fmt(bx0)}" y="{svg_fmt(by0)}" '
+        f'width="{svg_fmt(bx1 - bx0)}" height="{svg_fmt(by1 - by0)}" '
+        'fill="none" stroke="#bbbbbb" stroke-width="1"/>'
+    )
+    for leaf, image in leaves:
+        if len(leaf) < 2:
+            continue
+        pts = " ".join(
+            f"{svg_fmt(px)},{svg_fmt(py)}" for px, py in (to_px(x, y) for x, y in leaf.vertices)
+        )
+        color = _FOLIATION_COLORS.get(leaf.foliation, _FOLIATION_COLORS[0])
+        dash = ' stroke-dasharray="6 4"' if image else ""
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.4"{dash}/>'
+        )
+    parts.append("</svg>")
+    with open(path, "w") as f:
+        f.write("\n".join(parts) + "\n")
+
+
+def _leaf(foliation, level, points):
+    v = np.array(points, dtype=float).reshape(-1, 2)
+    seg = np.hypot(*np.diff(v, axis=0).T)
+    return LeafPolyline(foliation, level, v, np.concatenate(([0.0], np.cumsum(seg)))[: len(v)])
+
+
+# an empty leaf, a one-vertex leaf, foliation 0, levels and coordinates
+# printing with an exponent or as -0, and leaves far outside the box
+EDGE_LEAVES = [
+    (_leaf(1, 0.5, []), 0),
+    (_leaf(2, -0.0, [[0.25, -0.0]]), 1),
+    (_leaf(0, 1e-20, [[-0.0, 1e-7], [3e-5, -0.0], [1.5e-300, 2.5]]), 0),
+    (_leaf(3, -2.5e17, [[1e9, -1e9], [1e9 + 0.5, -1e9 + 1e-3]]), 1),
+    (_leaf(7, 123456789.125, [[-3.0, 40.0], [-2.999999, 40.000001], [5.0, 1e-5]]), 0),
+]
+
+
+def _pipeline_items(report, fol_index):
+    return [
+        (leaf, image)
+        for t in report.traces
+        if t.foliation == fol_index
+        for leaf, image in ((t.pre, 0), (t.post, 1))
+    ]
+
+
+def _same_bytes(tmp_path, write, reference, *args):
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    write(new, *args)
+    reference(ref, *args)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("fol_index", [1, 2, 3])
+    def test_leaf_csv_of_paper_web(self, tmp_path, theorem_report, fol_index):
+        items = _pipeline_items(theorem_report, fol_index)
+        _same_bytes(tmp_path, write_leaf_csv, reference_leaf_csv, items, True)
+        pre = [leaf for leaf, image in items if not image]
+        _same_bytes(tmp_path, write_leaf_csv, reference_leaf_csv, pre)
+
+    def test_svg_of_paper_web(self, tmp_path, theorem_report, paper_web):
+        items = sum((_pipeline_items(theorem_report, f) for f in (1, 2, 3)), [])
+        _same_bytes(tmp_path, write_svg, reference_svg, paper_web.domain, items)
+        plain = [(leaf, 0) for leaf, image in items if not image]
+        _same_bytes(tmp_path, write_svg, reference_svg, paper_web.domain, plain)
+
+    def test_edge_cases(self, tmp_path):
+        _same_bytes(tmp_path, write_leaf_csv, reference_leaf_csv, EDGE_LEAVES, True)
+        leaves = [leaf for leaf, _ in EDGE_LEAVES]
+        _same_bytes(tmp_path, write_leaf_csv, reference_leaf_csv, leaves)
+        csv = (tmp_path / "new").read_text()
+        assert "\n2,-0,0,0.25,-0\n" in csv and "e-08" in csv and "-2.5e+17" in csv
+        for items in (EDGE_LEAVES[2:3], EDGE_LEAVES):
+            _same_bytes(tmp_path, write_svg, reference_svg, Domain(), items)
+        svg = (tmp_path / "new").read_text()
+        strokes = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', svg)
+        assert len(strokes) == 3  # the empty and the one-vertex leaf are skipped
+        assert {color for _, color in strokes} == {_FOLIATION_COLORS[0], _FOLIATION_COLORS[3]}
+        assert re.search(r'<rect x="[^"]*" y="[^"]*" width="[\d.]+e-06"', svg)  # grown 1e9-fold
+
+    def test_hexagon_legs(self, tmp_path, paper_web):
+        fig = hexagon_defect(paper_web, (0.3, -0.4), 0.1)
+        _same_bytes(tmp_path, write_hexagon_legs_csv, reference_hexagon_legs_csv, fig)
