@@ -34,14 +34,7 @@ import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
 from .kernels import Program, jet_coeffs, jet_coeffs_or_raise
-from .web import (
-    DEFAULT_GRID,
-    H_STEP,
-    ThreeWeb,
-    _advance,
-    _GradCollapse,
-    _walk_path,
-)
+from .web import DEFAULT_GRID, H_STEP, ThreeWeb, _GradCollapse, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
@@ -182,7 +175,7 @@ class HexagonFigure:
 
 
 def _value(program: Program, x: float, y: float) -> float:
-    return jet_coeffs(program, x, y, order=1)[0]
+    return program.at_point[1](x, y)[0]
 
 
 def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
@@ -194,10 +187,11 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     endpoint and the walked path.
     """
     domain = web.domain
-    leg_prog = web.foliation(leg_index).program
+    leg = web.foliation(leg_index)
+    leg_prog = leg.program
     tgt_prog = web.foliation(target_index).program
     x0, y0 = start
-    leg_level = _value(leg_prog, x0, y0)
+    leg_level, gx0, gy0 = leg_prog.at_point[1](x0, y0)
     phi0 = _value(tgt_prog, x0, y0) - target_level
     if abs(phi0) <= HEX_NEWTON_TOL:
         raise HexagonError(
@@ -208,24 +202,23 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     bracket = None  # (n_steps_to_bracket, signed_h, path, phi_prev, phi_new)
     for direction in (1.0, -1.0):
         h = direction * H_STEP
-        x, y = x0, y0
+        x, y, gx, gy = x0, y0, gx0, gy0
         phi_prev = phi0
         path = [(x0, y0)]
         for k in range(1, n_steps + 1):
             try:
-                xn, yn, converged = _advance(leg_prog, leg_level, x, y, h)
+                x, y, gx, gy, converged = leg.advance(x, y, gx, gy, h, leg_level)
             except (_GradCollapse, EvalDomainError):
                 break
-            if not converged or not domain.admissible((xn, yn)):
+            if not converged or not domain.admissible((x, y)):
                 break
-            path.append((xn, yn))
-            phi_new = _value(tgt_prog, xn, yn) - target_level
+            path.append((x, y))
+            phi_new = _value(tgt_prog, x, y) - target_level
             if phi_prev * phi_new <= 0.0:
                 if bracket is None or k < bracket[0]:
                     bracket = (k, h, path, phi_prev, phi_new)
                 break
             phi_prev = phi_new
-            x, y = xn, yn
     if bracket is None:
         raise HexagonError(
             f"leg {leg_index}->{target_index} found no crossing of its target "
@@ -252,7 +245,9 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
         if not (lo < s_new < hi):
             s_new = 0.5 * (s_a + s_b)
         try:
-            xq, yq, converged = _advance(leg_prog, leg_level, q[0], q[1], s_new - s_q)
+            xq, yq, _, _, converged = leg.advance(
+                q[0], q[1], cj[1], cj[2], s_new - s_q, leg_level
+            )
         except _GradCollapse:
             raise HexagonError("gradient collapse while refining a leg crossing") from None
         if not converged:
@@ -298,10 +293,11 @@ def hexagon_defect(
     if max_leg_arc is None:
         max_leg_arc = 6.0 * radius + 0.25
 
-    levels = [fol.value(O) for fol in web.foliations]
+    jets = [jet_coeffs(fol.program, O[0], O[1], order=1) for fol in web.foliations]
+    levels = [jet[0] for jet in jets]
 
     try:
-        leg0 = _walk_path(web.foliation(1).program, levels[0], O[0], O[1], radius, web.domain)
+        leg0 = _walk_arc(web.foliation(1), jets[0], O, radius, web.domain)
     except TraceError as exc:
         raise HexagonError(f"radius walk failed: {exc}") from None
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,9 +71,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # work caps, checked before anything is allocated: grid points of a report
-# grid (1000 x 1000), and integrator steps per leaf direction (max-arc 1000)
+# grid (1000 x 1000), integrator steps per leaf direction (max-arc 1000),
+# and seeds per foliation
 MAX_GRID_POINTS = 1_000_000
 MAX_TRACE_STEPS = 100_000
+MAX_SEEDS = 1_000
 
 
 @dataclass
@@ -108,10 +111,12 @@ class RunConfig:
                 f"grid {self.grid[0]}x{self.grid[1]} exceeds the cap of {MAX_GRID_POINTS} points"
             )
         for name in ("tol_linearity", "tol_curvature", "tol_diffeo", "tol_line"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ConfigError(f"{name.replace('_', '-')} must be positive and finite")
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
+        if self.seeds > MAX_SEEDS:
+            raise ConfigError(f"seeds {self.seeds} exceeds the cap of {MAX_SEEDS} per foliation")
         if self.max_arc <= 0:
             raise ConfigError("max-arc must be positive")
         if not self.max_arc / H_STEP <= MAX_TRACE_STEPS:  # also rejects nan and inf
@@ -432,7 +437,9 @@ def _cmd_trace(args) -> int:
     write_leaf_csv(path, leaves)
     write_svg(cfg.out / "web.svg", web.domain, [(leaf, 0) for leaf in leaves])
     total = sum(len(leaf) for leaf in leaves)
-    print(f"traced {len(leaves)} leaves of F{cfg.foliation} ({total} vertices) -> {path}")
+    n_flags = sum(len(leaf.flags) for leaf in leaves)
+    flags = f", {n_flags} truncation flags" if n_flags else ""
+    print(f"traced {len(leaves)} leaves of F{cfg.foliation} ({total} vertices{flags}) -> {path}")
     return EXIT_PASS
 
 

@@ -7,17 +7,19 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
 be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
 and gradient, the first three slots, computed by the same expressions so
 they agree bit for bit).  Single points run on Python floats
-(:func:`jet_coeffs`) at either order; batches run the order-3 code on
-numpy arrays (:func:`jet_coeffs_many`).  Both call numpy's elementary
-functions, so a batch row equals the single-point result bit for bit.
-Every op checks its domain and the finiteness of the slots it computes: a
-point raises :class:`EvalDomainError` naming the op's source fragment, a
-batch records the first failing op per point.  Programs are immutable and
-all functions pure, so concurrent use needs no coordination.
+(:func:`jet_coeffs`) at either order, and ``Program.inline`` binds caller
+code with the order-1 body inlined at its own points; batches run the
+order-3 code on numpy arrays (:func:`jet_coeffs_many`).  All call numpy's
+elementary functions, so a batch row equals the single-point result bit
+for bit.  Every op checks its domain and the finiteness of the slots it
+computes: a point raises :class:`EvalDomainError` naming the op's source
+fragment, a batch records the first failing op per point.  Programs are
+immutable and all functions pure, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -66,6 +68,8 @@ _UNARY = {
 }
 _LOCAL = re.compile(r"\b(v|g[0-3]|r|s)\b")
 _TEMP = re.compile(r"t\d+")
+_JET_NAME = re.compile(r"\b(x|y|t\d+)\b")
+_JET_SITE = re.compile(r"^( *)(.+) = jet\((\w+), (\w+)\)$", re.M)
 
 
 def _lit(v: float) -> str:
@@ -284,12 +288,33 @@ class Program:
     code: str  # the generated order-3 source of the array binding
     at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
     on_arrays: Callable = field(repr=False, compare=False)
+    inline: Callable = field(repr=False, compare=False)  # (template, names, name) -> function
 
 
-def _bind(code: str, names: dict) -> Callable:
+def _bind(code: str, names: dict, name: str = "jet") -> Callable:
     namespace = dict(names)
     exec(compile(code, "<triweb jet>", "exec"), namespace)
-    return namespace["jet"]
+    return namespace[name]
+
+
+def _inline(jet: str, point_names: dict, template: str, names: dict, name: str) -> Callable:
+    """Bind the function ``name`` of ``template``, each of whose lines
+    ``<targets> = jet(a, b)`` is replaced by the order-1 jet body at the
+    point (a, b), its temps renamed per site and its slots assigned to the
+    targets.  The checks call the same ``fail``, so an error names the
+    fragment and point that the point binding would."""
+    _, *body, ret = jet.splitlines()
+    sites = itertools.count(1)
+
+    def expand(m):
+        indent, targets, a, b = m.groups()
+        site = next(sites)
+        rename = partial(_JET_NAME.sub, lambda n: {"x": a, "y": b}.get(n[0], f"{n[0]}_{site}"))
+        lines = [indent + rename(line.strip()) for line in body]
+        slots = rename(ret.strip().removeprefix("return "))
+        return "\n".join(lines + [f"{indent}{targets} = {slots}"])
+
+    return _bind(_JET_SITE.sub(expand, template), dict(point_names, **names), name)
 
 
 def compile_expr(e: Expr | str, source: str | None = None) -> Program:
@@ -305,13 +330,12 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
         raise EvalDomainError(_ERR_TEXT[code], frags[k], (x, y))
 
     point_names = dict(_POINT_NAMES, fail=fail)
-    at_point = {
-        em.order: _bind(em.render(result, hook=False), point_names)
-        for em, result in zip(emitters, results)
-    }
+    point_code = {em.order: em.render(result, hook=False) for em, result in zip(emitters, results)}
+    at_point = {order: _bind(jet, point_names) for order, jet in point_code.items()}
     code = emitters[-1].render(results[-1], hook=True)
     source = source if source is not None else to_text(e)
-    return Program(frags, source, code, at_point, _bind(code, _ARRAY_NAMES))
+    inline = partial(_inline, point_code[1], point_names)
+    return Program(frags, source, code, at_point, _bind(code, _ARRAY_NAMES), inline)
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:

@@ -6,7 +6,8 @@ set u = const.  Leaves are traced by a classical fourth-order
 Runge-Kutta walk at fixed arc step along the unit tangent
 (du/dy, -du/dx)/|grad u|, with a Newton projection back onto the level
 set after every step, so the level invariant holds to tight tolerance
-regardless of integrator drift.
+regardless of integrator drift.  Each foliation generates that step as
+one straight-line function with its jets inlined (``Foliation.advance``).
 
 All types are immutable after construction and every operation is pure;
 batch work over seeds or grid points can run concurrently without
@@ -15,8 +16,10 @@ coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +50,38 @@ class _GradCollapse(Exception):
     """Internal: gradient norm fell below EPS_GRAD mid-walk."""
 
 
+def _advance_source() -> str:
+    """The leaf stepper, one per foliation: advance(x, y, gx, gy, h, level)
+    takes the gradient (gx, gy) at (x, y), makes one RK4 step of signed arc
+    h along the unit tangent (u_y, -u_x)/|grad u|, projects back onto
+    u = level by Newton steps along the gradient, and returns the new
+    point, the gradient there and whether it meets its level.  Each line
+    "... = jet(a, b)" becomes the order-1 jet inlined at (a, b).  The
+    projection's last jet is taken at the returned point, so its gradient
+    serves as the next step's first RK4 stage."""
+
+    def tangent(k):
+        return ["n = hypot(gx, gy)", f"if n < {EPS_GRAD!r}: raise GradCollapse",
+                f"t{k}x, t{k}y = gy / n, -gx / n"]
+
+    body = ["if h == 0.0: return x, y, gx, gy, True", *tangent(1)]
+    for k, c in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
+        body += [f"sx, sy = x + {c} * t{k - 1}x, y + {c} * t{k - 1}y",
+                 "u, gx, gy = jet(sx, sy)", *tangent(k)]
+    body += ["px = x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x)",
+             "py = y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y)"]
+    body += ["u, gx, gy = jet(px, py)", "r = u - level",
+             f"if abs(r) <= {PROJ_TOL!r}: return px, py, gx, gy, True",
+             "n2 = gx * gx + gy * gy", f"if n2 < {EPS_GRAD * EPS_GRAD!r}: raise GradCollapse",
+             "px -= r * gx / n2", "py -= r * gy / n2"] * PROJ_MAX_ITER
+    body += ["u, gx, gy = jet(px, py)", f"return px, py, gx, gy, abs(u - level) <= {TOL_LEVEL!r}"]
+    return "def advance(x, y, gx, gy, h, level):\n" + "".join(f"    {b}\n" for b in body)
+
+
+_ADVANCE = _advance_source()
+_ADVANCE_NAMES = {"hypot": math.hypot, "GradCollapse": _GradCollapse}
+
+
 # ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------
@@ -69,29 +104,26 @@ class Domain:
         xmin, xmax, ymin, ymax = self.box
         if not (xmin < xmax and ymin < ymax):
             raise ConfigError(f"degenerate box {self.box}")
-        if self.margin < 0:
-            raise ConfigError("exclusion margin must be >= 0")
+        if not 0 <= self.margin < math.inf:
+            raise ConfigError(f"exclusion margin must be finite and >= 0, got {self.margin}")
         prog = compile_expr(self.exclude) if self.exclude is not None else None
         object.__setattr__(self, "_exclude_program", prog)
+        object.__setattr__(self, "_exclude_jet", prog.at_point[1] if prog else None)
 
     @property
     def exclude_program(self) -> Program | None:
         return self._exclude_program
 
-    def in_box(self, p) -> bool:
-        xmin, xmax, ymin, ymax = self.box
-        return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
-
     def admissible(self, p) -> bool:
-        if not self.in_box(p):
+        xmin, xmax, ymin, ymax = self.box
+        if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
             return False
-        if self._exclude_program is None:
+        if self._exclude_jet is None:
             return True
         try:
-            g = jet_coeffs(self._exclude_program, p[0], p[1], order=1)[0]
+            return abs(self._exclude_jet(float(p[0]), float(p[1]))[0]) >= self.margin
         except EvalDomainError:
             return False
-        return abs(g) >= self.margin
 
     def admissible_mask(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -136,6 +168,12 @@ class Foliation:
 
     def __post_init__(self):
         object.__setattr__(self, "_program", compile_expr(self.integral))
+
+    @cached_property
+    def advance(self):
+        """The generated leaf stepper (see ``_advance_source``), built on
+        first use, since only tracing and hexagons need it."""
+        return self._program.inline(_ADVANCE, _ADVANCE_NAMES, "advance")
 
     @property
     def program(self) -> Program:
@@ -386,70 +424,35 @@ class LeafPolyline:
         return int(self.vertices.shape[0])
 
 
-def _tangent(program: Program, x: float, y: float) -> tuple[float, float]:
-    _, gx, gy = jet_coeffs(program, x, y, order=1)
-    n = math.hypot(gx, gy)
-    if n < EPS_GRAD:
-        raise _GradCollapse()
-    return gy / n, -gx / n
+def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, closing=False):
+    """Walk the leaf u = level of ``fol`` from ``p0``, where the gradient is
+    ``grad``, by the signed arc lengths ``steps``.
 
-
-def _rk4_step(program: Program, x: float, y: float, h: float):
-    t1x, t1y = _tangent(program, x, y)
-    t2x, t2y = _tangent(program, x + 0.5 * h * t1x, y + 0.5 * h * t1y)
-    t3x, t3y = _tangent(program, x + 0.5 * h * t2x, y + 0.5 * h * t2y)
-    t4x, t4y = _tangent(program, x + h * t3x, y + h * t3y)
-    return (
-        x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x),
-        y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y),
-    )
-
-
-def _project(program: Program, x: float, y: float, level: float):
-    """Newton steps along the gradient back onto u = level."""
-    for _ in range(PROJ_MAX_ITER):
-        u, gx, gy = jet_coeffs(program, x, y, order=1)
-        r = u - level
-        if abs(r) <= PROJ_TOL:
-            return x, y, True
-        n2 = gx * gx + gy * gy
-        if n2 < EPS_GRAD * EPS_GRAD:
-            raise _GradCollapse()
-        x -= r * gx / n2
-        y -= r * gy / n2
-    u = jet_coeffs(program, x, y, order=1)[0]
-    return x, y, abs(u - level) <= TOL_LEVEL
-
-
-def _advance(program: Program, level: float, x: float, y: float, ds: float):
-    """One projected integrator step of signed arc length ds."""
-    if ds == 0.0:
-        return x, y, True
-    xn, yn = _rk4_step(program, x, y, ds)
-    return _project(program, xn, yn, level)
-
-
-def _trace_direction(program, level, x0, y0, h_signed, n_steps, domain):
+    Returns the points after ``p0`` and why the walk ended: None when it
+    took every step; "boundary" at the edge of the admissible domain;
+    "closed" (only with ``closing``) back within one step of ``p0`` after
+    at least three; else the truncation flag.  The third item is the
+    point the walk stopped at, or the EvalDomainError of "domain_exit".
+    """
+    advance = fol.advance
+    (x, y), (gx, gy) = p0, grad
     pts: list[tuple[float, float]] = []
-    x, y = x0, y0
-    flag = None
-    for _ in range(n_steps):
+    for k, ds in enumerate(steps):
         try:
-            xn, yn, converged = _advance(program, level, x, y, h_signed)
+            xn, yn, gx, gy, converged = advance(x, y, gx, gy, ds, level)
         except _GradCollapse:
-            flag = "gradient_collapse"
-            break
-        except EvalDomainError:
-            flag = "domain_exit"
-            break
+            return pts, "gradient_collapse", (x, y)
+        except EvalDomainError as exc:
+            return pts, "domain_exit", exc
         if not converged:
-            flag = "projection_stall"
-            break
+            return pts, "projection_stall", (xn, yn)
         if not domain.admissible((xn, yn)):
-            break  # clean truncation at the domain boundary
+            return pts, "boundary", (xn, yn)
         pts.append((xn, yn))
         x, y = xn, yn
-    return pts, flag
+        if closing and k >= 2 and math.hypot(x - p0[0], y - p0[1]) < H_STEP:
+            return pts, "closed", (x, y)
+    return pts, None, (x, y)
 
 
 def trace_leaf(
@@ -462,7 +465,8 @@ def trace_leaf(
     """Trace the leaf of ``fol`` through ``p0`` in both directions.
 
     Extends up to ``max_arc`` of arc length per direction, truncating at
-    the domain boundary; every emitted vertex satisfies the level
+    the domain boundary; a leaf that returns to ``p0`` is traced once
+    round and flagged "closed".  Every emitted vertex satisfies the level
     invariant to TOL_LEVEL.
     """
     x0, y0 = float(p0[0]), float(p0[1])
@@ -476,8 +480,11 @@ def trace_leaf(
         raise TraceError("max_arc must be positive")
     n_steps = int(max_arc / H_STEP + 1e-12)
 
-    fwd, flag_f = _trace_direction(fol.program, level, x0, y0, H_STEP, n_steps, domain)
-    bwd, flag_b = _trace_direction(fol.program, level, x0, y0, -H_STEP, n_steps, domain)
+    walk = (fol, level, (x0, y0), c0[1:])
+    fwd, flag_f, _ = _walk(*walk, itertools.repeat(H_STEP, n_steps), domain, closing=True)
+    bwd, flag_b = [], None
+    if flag_f != "closed":
+        bwd, flag_b, _ = _walk(*walk, itertools.repeat(-H_STEP, n_steps), domain)
 
     pts = list(reversed(bwd)) + [(x0, y0)] + fwd
     vertices = np.array(pts, dtype=float)
@@ -487,11 +494,11 @@ def trace_leaf(
     else:
         arcs = np.zeros(1)
 
-    flags = []
-    if flag_b:
-        flags.append(f"backward:{flag_b}")
-    if flag_f:
-        flags.append(f"forward:{flag_f}")
+    flags = [
+        flag if flag == "closed" else f"{direction}:{flag}"
+        for direction, flag in (("backward", flag_b), ("forward", flag_f))
+        if flag not in (None, "boundary")
+    ]
     return LeafPolyline(
         foliation=fol_index,
         level=level,
@@ -501,9 +508,17 @@ def trace_leaf(
     )
 
 
-def _walk_path(program: Program, level: float, x: float, y: float, arc: float, domain: Domain):
-    """Every point of a walk of signed arc length ``arc`` along the leaf
-    u = level from (x, y), in steps of H_STEP and one final remainder.
+_WALK_ERRORS = {
+    "gradient_collapse": "gradient collapse walking leaf near ({}, {})",
+    "projection_stall": "level projection stalled near ({}, {})",
+    "boundary": "walk left the admissible domain at ({}, {})",
+}
+
+
+def _walk_arc(fol: Foliation, jet, p0, arc: float, domain: Domain):
+    """Every point of a walk of signed arc length ``arc`` along the leaf of
+    ``fol`` from ``p0``, where its order-1 jet is ``jet``, in steps of
+    H_STEP and one final remainder.
 
     Raises :class:`TraceError` if the walk leaves the admissible domain
     or the gradient degenerates.
@@ -512,18 +527,12 @@ def _walk_path(program: Program, level: float, x: float, y: float, arc: float, d
     n_full = int(abs(arc) / H_STEP + 1e-12)
     rest = abs(arc) - n_full * H_STEP
     steps = [h] * n_full + ([math.copysign(rest, arc)] if rest > 1e-12 else [])
-    path = [(x, y)]
-    for ds in steps:
-        try:
-            x, y, converged = _advance(program, level, x, y, ds)
-        except _GradCollapse:
-            raise TraceError(f"gradient collapse walking leaf near ({x}, {y})") from None
-        if not converged:
-            raise TraceError(f"level projection stalled near ({x}, {y})")
-        if not domain.admissible((x, y)):
-            raise TraceError(f"walk left the admissible domain at ({x}, {y})")
-        path.append((x, y))
-    return path
+    pts, stop, at = _walk(fol, jet[0], p0, jet[1:], steps, domain)
+    if stop == "domain_exit":
+        raise at
+    if stop is not None:
+        raise TraceError(_WALK_ERRORS[stop].format(*at))
+    return [p0] + pts
 
 
 def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float, float]:
@@ -537,4 +546,4 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float,
     c0 = jet_coeffs(fol.program, x, y, order=1)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")
-    return _walk_path(fol.program, float(c0[0]), x, y, arc, domain)[-1]
+    return _walk_arc(fol, c0, (x, y), arc, domain)[-1]

@@ -15,6 +15,7 @@ import pytest
 import triweb
 from triweb.cli import (
     MAX_GRID_POINTS,
+    MAX_SEEDS,
     SETTINGS,
     RunConfig,
     _config_from_sources,
@@ -508,16 +509,44 @@ class TestWorkCaps:
         RunConfig(grid=(1000, 1000), max_arc=1000.0).validate()
         RunConfig(grid=(500, 500)).validate()
 
+    def test_seed_cap(self):
+        RunConfig(seeds=MAX_SEEDS).validate()
+        with pytest.raises(ConfigError, match="cap"):
+            RunConfig(seeds=MAX_SEEDS + 1).validate()
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["analyze", "--builtin", "paper", "--grid", "1001", "1000"],
             ["verify-theorem", "--max-arc", "inf"],
+            ["trace", "--builtin", "paper", "--seeds", "20000", "--max-arc", "0.01"],
         ],
     )
     def test_cli_exits_2(self, tmp_path, capsys, argv):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert "exceeds the cap" in capsys.readouterr().err
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["verify-theorem", "--tol-linearity", "nan", "--seeds", "2", "--max-arc", "0.5"],
+             "tol-linearity"),
+            (["verify-theorem", "--tol-line", "inf", "--seeds", "2", "--max-arc", "0.5"],
+             "tol-line"),
+            (["verify-map", "--builtin", "paper", "--map", "identity", "--tol-diffeo", "nan"],
+             "tol-diffeo"),
+            (["analyze", "--builtin", "paper", "--tol-curvature", "nan"], "tol-curvature"),
+            (["analyze", "--builtin", "paper", "--margin", "nan"], "margin"),
+            (["trace", "--builtin", "paper", "--margin", "inf"], "margin"),
+        ],
+    )
+    def test_exits_2_naming_the_setting(self, tmp_path, capsys, argv, name):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "finite" in err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestTruncationFlags:
@@ -537,6 +566,23 @@ class TestTruncationFlags:
         assert [line.endswith(", 2 truncation flags)") for line in lines[2:5]] == [
             False, False, True
         ]
+
+    def test_closed_leaves_reach_report_and_summary(self, tmp_path, capsys):
+        # F1's leaves are circles: each is traced once round and flagged
+        argv = ["verify-map", "--web", "x^2+y^2", "y", "x", "--map", "identity",
+                "--seeds", "2", "--max-arc", "10"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert [f["flags"] for f in rep["foliations"]] == [[[0, "closed"], [1, "closed"]], [], []]
+        assert rep["foliations"][0]["verdict"] is False
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].endswith("NOT linear (max residual 0.5, tol 1e-08, 2 truncation flags)")
+
+    def test_trace_counts_vertices_and_flags(self, tmp_path, capsys):
+        argv = ["trace", "--web", "x^2+y^2", "y", "x", "--exclude", "1", "--foliation", "1",
+                "--seed", "0.5", "0", "--max-arc", "10", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert "(315 vertices, 1 truncation flags)" in capsys.readouterr().out
 
 
 class TestVerifyMapCommand:

@@ -6,20 +6,32 @@ origin is the straight line y = -x (level 0); both follow from solving
 (x+y) e^-x = const by hand.
 """
 
+import io
 import math
+import re
+import tokenize
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import triweb.kernels
 from conftest import overlap_hausdorff
-from triweb.errors import ConfigError, TraceError
+from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
+from triweb.kernels import jet_coeffs
 from triweb.web import (
+    EPS_GRAD,
     H_MAX,
+    H_STEP,
+    PROJ_MAX_ITER,
+    PROJ_TOL,
     TOL_LEVEL,
     Domain,
     Foliation,
     ThreeWeb,
+    _GradCollapse,
     builtin_web,
     family_web,
     general_position_report,
@@ -262,3 +274,191 @@ class TestWalkOnLeaf:
     def test_walk_leaves_domain(self, paper_web):
         with pytest.raises(TraceError, match="left the admissible domain"):
             walk_on_leaf(paper_web.foliation(1), (0.0, 1.05), 0.5, paper_web.domain)
+
+
+class TestClosedLeaves:
+    def test_circle_stops_after_one_turn(self):
+        # the leaf of x^2 + y^2 through (0.5, 0) is the circle of radius 0.5,
+        # pi = 314.16 steps of 0.01 round: without the closing rule the walk
+        # wraps it again and again up to max-arc in both directions
+        fol = Foliation(parse("x^2+y^2"), "circle")
+        leaf = trace_leaf(fol, (0.5, 0.0), 10.0, Domain(box=(-2, 2, -2, 2)))
+        assert len(leaf) == 315
+        assert leaf.flags == ("closed",)
+        v = leaf.vertices
+        assert math.hypot(*(v[-1] - v[0])) < H_STEP
+        assert np.abs(np.hypot(v[:, 0], v[:, 1]) - 0.5).max() <= 1e-9
+        assert leaf.arcs[-1] == pytest.approx(math.pi - 0.0016, abs=1e-3)
+
+    def test_short_budget_is_not_closed(self):
+        fol = Foliation(parse("x^2+y^2"), "circle")
+        leaf = trace_leaf(fol, (0.5, 0.0), 1.0, Domain(box=(-2, 2, -2, 2)))
+        assert len(leaf) == 201 and leaf.flags == ()
+
+
+# ---------------------------------------------------------------------------
+# The generated stepper against the plain-Python stepper it replaced
+# ---------------------------------------------------------------------------
+
+
+def _tangent(program, x, y):
+    _, gx, gy = jet_coeffs(program, x, y, order=1)
+    n = math.hypot(gx, gy)
+    if n < EPS_GRAD:
+        raise _GradCollapse()
+    return gy / n, -gx / n
+
+
+def _rk4_step(program, x, y, h):
+    t1x, t1y = _tangent(program, x, y)
+    t2x, t2y = _tangent(program, x + 0.5 * h * t1x, y + 0.5 * h * t1y)
+    t3x, t3y = _tangent(program, x + 0.5 * h * t2x, y + 0.5 * h * t2y)
+    t4x, t4y = _tangent(program, x + h * t3x, y + h * t3y)
+    return (
+        x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x),
+        y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y),
+    )
+
+
+def _project(program, x, y, level):
+    for _ in range(PROJ_MAX_ITER):
+        u, gx, gy = jet_coeffs(program, x, y, order=1)
+        r = u - level
+        if abs(r) <= PROJ_TOL:
+            return x, y, True
+        n2 = gx * gx + gy * gy
+        if n2 < EPS_GRAD * EPS_GRAD:
+            raise _GradCollapse()
+        x -= r * gx / n2
+        y -= r * gy / n2
+    u = jet_coeffs(program, x, y, order=1)[0]
+    return x, y, abs(u - level) <= TOL_LEVEL
+
+
+def reference_advance(program, level, x, y, ds):
+    """One projected RK4 step, one jet call per stage and Newton step."""
+    if ds == 0.0:
+        return x, y, True
+    xn, yn = _rk4_step(program, x, y, ds)
+    return _project(program, xn, yn, level)
+
+
+def _outcome(step):
+    """A step's result with its floats as hex, or what it raised."""
+    try:
+        return [v.hex() if isinstance(v, float) else v for v in step()]
+    except EvalDomainError as exc:
+        return ["EvalDomainError", str(exc), exc.fragment, exc.point]
+    except _GradCollapse:
+        return ["gradient collapse"]
+
+
+def _walk_both(fol, p0, steps):
+    """The outcomes of the generated and the reference stepper along the
+    same walk; the generated one gets the gradient it returned last, the
+    reference yields the gradient at its own point."""
+    x, y = p0
+    level, gx, gy = jet_coeffs(fol.program, x, y, order=1)
+    pairs = []
+    for h in steps:
+        got = _outcome(lambda: fol.advance(x, y, gx, gy, h, level))
+        want = _outcome(lambda: reference_advance(fol.program, level, x, y, h))
+        if len(want) == 3:  # the gradient at the reference's new point
+            xn, yn = float.fromhex(want[0]), float.fromhex(want[1])
+            want[2:2] = [v.hex() for v in jet_coeffs(fol.program, xn, yn, order=1)[1:]]
+        pairs.append((got, want))
+        if len(got) != 5 or got[4] is not True:
+            break
+        x, y, gx, gy = (float.fromhex(v) for v in got[:4])
+    return pairs
+
+
+_STEPPER_WEBS = {
+    "paper": builtin_web("paper").foliations,
+    "family": family_web("1+x", "exp(x)").foliations,
+    "sqrt": (Foliation(parse("x")), Foliation(parse("y")), Foliation(parse("y+sqrt(x+1)"))),
+}
+
+
+class TestStepperMatchesReference:
+    @given(
+        web=st.sampled_from(sorted(_STEPPER_WEBS)),
+        index=st.integers(0, 2),
+        x=st.floats(-1.0, 1.5),
+        y=st.floats(-1.5, 1.5),
+        steps=st.lists(
+            st.sampled_from([H_STEP, -H_STEP, 0.0, 0.05, -0.3, 2.0, -2.0]) | st.floats(-0.5, 0.5),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_points_and_gradients_bitwise(self, web, index, x, y, steps):
+        fol = _STEPPER_WEBS[web][index]
+        try:
+            jet_coeffs(fol.program, x, y, order=1)
+        except EvalDomainError:
+            return  # no leaf through a point where u cannot be evaluated
+        for got, want in _walk_both(fol, (x, y), steps):
+            assert got == want
+
+    @given(
+        x=st.floats(-0.9999, -0.8),
+        y=st.floats(-1.5, 1.5),
+        steps=st.lists(st.floats(-0.3, 0.0), min_size=1, max_size=12),
+    )
+    def test_walks_into_the_end_of_a_sqrt_leaf(self, x, y, steps):
+        pairs = _walk_both(_STEPPER_WEBS["sqrt"][2], (x, y), steps)
+        for got, want in pairs:
+            assert got == want
+
+    def test_domain_error_names_the_stage_point(self):
+        # the leaf y + sqrt(x+1) = c ends at x = -1; a step towards it puts
+        # an RK4 stage point where sqrt(x+1) is undefined
+        fol = _STEPPER_WEBS["sqrt"][2]
+        (got, want), = _walk_both(fol, (-0.999, 0.0), [-0.05])
+        assert got == want
+        assert got[0] == "EvalDomainError" and "sqrt of non-positive" in got[1]
+        assert got[2] == "sqrt(x+1)" and got[3][0] < -1.0
+
+    def test_gradient_collapse_in_the_same_stage(self):
+        # from (0.005, 0) the second RK4 stage of a backward step lands on
+        # the origin, where grad(x*y) vanishes
+        fol = Foliation(parse("x*y"))
+        assert _walk_both(fol, (0.005, 0.0), [-H_STEP]) == [(["gradient collapse"],) * 2]
+
+    @pytest.mark.parametrize(
+        "text,p0,h",
+        [
+            ("sin(5*x)+y", (0.012440656289377738, 1.8700569248230368), 2.0),
+            ("exp(3*x)*y", (1.6421356234530933, -0.7237972190525634), 2.0),
+        ],
+    )
+    def test_projection_stall_in_the_same_cases(self, text, p0, h):
+        (got, want), = _walk_both(Foliation(parse(text)), p0, [h])
+        assert got == want
+        assert got[4] is False
+
+    def test_source_holds_only_generated_names_and_literals(self, monkeypatch):
+        sources = []
+        bind = triweb.kernels._bind
+
+        def spy(code, names, name="jet"):
+            if name == "advance":
+                sources.append(code)
+            return bind(code, names, name)
+
+        monkeypatch.setattr(triweb.kernels, "_bind", spy)
+        for text in ("(x+y)*exp(-x)", "y+sqrt(x+1)", "ln(2+x)/(2+y)", "x^-2+2^x", "sin(x)*cos(y)"):
+            Foliation(parse(text)).advance
+        assert len(sources) == 5
+        bound = {"def", "if", "return", "raise", "True", "advance", "abs", "hypot",
+                 "GradCollapse", "fail", "exp", "log", "sin", "cos", "sqrt", "inf", "nan"}
+        generated = re.compile(r"[xy]|[gsp][xy]|h|level|[unr]|n2|t\d+[xy]|t\d+_\d+")
+        for code in sources:
+            assert code.count("= jet(") == 0
+            for tok in tokenize.generate_tokens(io.StringIO(code).readline):
+                assert tok.type != tokenize.STRING, tok
+                if tok.type == tokenize.NAME:
+                    assert tok.string in bound or generated.fullmatch(tok.string), tok
+                elif tok.type == tokenize.NUMBER:
+                    float(tok.string)
