@@ -27,14 +27,15 @@ locus separates the domain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
-from .kernels import Program, jet_coeffs, jet_coeffs_or_raise
-from .web import DEFAULT_GRID, H_STEP, ThreeWeb, _GradCollapse, _walk_arc
+from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .web import DEFAULT_GRID, H_STEP, ThreeWeb, _GradCollapse, _walk, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
@@ -174,94 +175,75 @@ class HexagonFigure:
             leg.setflags(write=False)
 
 
-def _value(program: Program, x: float, y: float) -> float:
-    return program.at_point[1](x, y)[0]
-
-
 def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     """Follow the leg foliation's leaf through ``start`` until it crosses
     the target foliation's level set u_target = target_level.
 
-    Scans both orientations for the nearest sign change, then refines the
-    crossing with safeguarded Newton on the arc parameter.  Returns the
-    endpoint and the walked path.
+    Walks both orientations for the nearest sign change, the forward one
+    winning a tie, then refines the crossing with safeguarded Newton on
+    the arc parameter.  Returns the endpoint and the walked path.
     """
     domain = web.domain
     leg = web.foliation(leg_index)
-    leg_prog = leg.program
-    tgt_prog = web.foliation(target_index).program
+    leg_jet = leg.program.at_point[1]
+    tgt_jet = web.foliation(target_index).program.at_point[1]
     x0, y0 = start
-    leg_level, gx0, gy0 = leg_prog.at_point[1](x0, y0)
-    phi0 = _value(tgt_prog, x0, y0) - target_level
+    leg_level, gx0, gy0 = leg_jet(x0, y0)
+    phi0 = tgt_jet(x0, y0)[0] - target_level
     if abs(phi0) <= HEX_NEWTON_TOL:
         raise HexagonError(
             f"leg {leg_index}->{target_index} starts on its target level at ({x0}, {y0})"
         )
 
     n_steps = max(1, int(max_arc / H_STEP + 1e-12))
-    bracket = None  # (n_steps_to_bracket, signed_h, path, phi_prev, phi_new)
-    for direction in (1.0, -1.0):
-        h = direction * H_STEP
-        x, y, gx, gy = x0, y0, gx0, gy0
-        phi_prev = phi0
-        path = [(x0, y0)]
-        for k in range(1, n_steps + 1):
-            try:
-                x, y, gx, gy, converged = leg.advance(x, y, gx, gy, h, leg_level)
-            except (_GradCollapse, EvalDomainError):
-                break
-            if not converged or not domain.admissible((x, y)):
-                break
-            path.append((x, y))
-            phi_new = _value(tgt_prog, x, y) - target_level
-            if phi_prev * phi_new <= 0.0:
-                if bracket is None or k < bracket[0]:
-                    bracket = (k, h, path, phi_prev, phi_new)
-                break
-            phi_prev = phi_new
+    bracket = None  # (steps to the crossing, signed h, path, phi before it)
+    for h in (H_STEP, -H_STEP):
+        phis = [phi0]
+
+        def crossed(k, x, y):
+            phis.append(tgt_jet(x, y)[0] - target_level)
+            return phis[-2] * phis[-1] <= 0.0
+
+        # only a crossing nearer than the one found can replace it
+        steps = itertools.repeat(h, n_steps if bracket is None else bracket[0] - 1)
+        pts, stop, _ = _walk(leg, leg_level, start, (gx0, gy0), steps, domain, crossed)
+        if stop == "stop":
+            bracket = (len(pts), h, [start] + pts, phis[-2])
     if bracket is None:
         raise HexagonError(
             f"leg {leg_index}->{target_index} found no crossing of its target "
             f"level within arc {max_arc:g} of ({x0:g}, {y0:g})"
         )
 
-    _, h, path, phi_a, phi_b = bracket
-    qa = path[-2]
-    qb = path[-1]
-
-    # safeguarded Newton on signed arc s from qa; s_b = h by construction
-    s_a, f_a = 0.0, phi_a
-    s_b, f_b = h, phi_b
-    q, s_q, f_q = qa, 0.0, phi_a
+    # safeguarded Newton on signed arc s from the last point before the
+    # crossing, where phi has the sign of side a; s_b = h by construction
+    _, h, path, phi_a = bracket
+    q, s_q, s_a, s_b = path[-2], 0.0, 0.0, h
+    _, gx, gy = leg_jet(*q)
     for _ in range(60):
+        f_q, tx, ty = tgt_jet(*q)
+        f_q -= target_level
+        if (f_q < 0) == (phi_a < 0):
+            s_a = s_q
+        else:
+            s_b = s_q
         if abs(f_q) <= HEX_NEWTON_TOL:
             break
-        cj = jet_coeffs(leg_prog, q[0], q[1], order=1)
-        tj = jet_coeffs(tgt_prog, q[0], q[1], order=1)
-        norm = math.hypot(cj[1], cj[2])
-        slope = (tj[1] * cj[2] - tj[2] * cj[1]) / norm if norm > 0 else 0.0
+        if abs(s_b - s_a) < 1e-15:
+            raise HexagonError("leg crossing bracket collapsed before reaching tolerance")
+        norm = math.hypot(gx, gy)
+        slope = (tx * gy - ty * gx) / norm if norm > 0 else 0.0
         s_new = s_q - f_q / slope if slope != 0.0 else 0.5 * (s_a + s_b)
         lo, hi = (s_a, s_b) if s_a < s_b else (s_b, s_a)
         if not (lo < s_new < hi):
             s_new = 0.5 * (s_a + s_b)
         try:
-            xq, yq, _, _, converged = leg.advance(
-                q[0], q[1], cj[1], cj[2], s_new - s_q, leg_level
-            )
+            xq, yq, gx, gy, converged = leg.advance(q[0], q[1], gx, gy, s_new - s_q, leg_level)
         except _GradCollapse:
             raise HexagonError("gradient collapse while refining a leg crossing") from None
         if not converged:
             raise HexagonError("level projection stalled while refining a leg crossing")
         q, s_q = (xq, yq), s_new
-        f_q = _value(tgt_prog, xq, yq) - target_level
-        if (f_q < 0) == (f_a < 0):
-            s_a, f_a = s_q, f_q
-        else:
-            s_b, f_b = s_q, f_q
-        if abs(s_b - s_a) < 1e-15 and abs(f_q) > HEX_NEWTON_TOL:
-            raise HexagonError(
-                "leg crossing bracket collapsed before reaching tolerance"
-            )
     else:
         raise HexagonError("leg crossing refinement did not converge")
 
@@ -275,23 +257,22 @@ def hexagon_defect(
     web: ThreeWeb,
     center,
     radius: float,
-    max_leg_arc: float | None = None,
 ) -> HexagonFigure:
     """Walk the closure hexagon of ``web`` around ``center``.
 
     P0 sits on the first foliation's leaf through the center at arc
     distance ``radius``; the six legs then alternate foliations
     3, 1, 2, 3, 1, 2, each ending on the leaf through the center of
-    foliations 2, 3, 1, 2, 3, 1 in turn.  Every leg endpoint satisfies
-    its target level to HEX_NEWTON_TOL.
+    foliations 2, 3, 1, 2, 3, 1 in turn, looking for it within an arc of
+    6 * radius + 0.25 each way.  Every leg endpoint satisfies its target
+    level to HEX_NEWTON_TOL.
     """
-    if radius <= 0:
-        raise HexagonError("hexagon radius must be positive")
+    if not 0 < radius < math.inf:
+        raise HexagonError(f"hexagon radius must be positive and finite, got {radius}")
     O = (float(center[0]), float(center[1]))
     if not web.domain.admissible(O):
         raise HexagonError(f"hexagon center {O} is not admissible")
-    if max_leg_arc is None:
-        max_leg_arc = 6.0 * radius + 0.25
+    max_leg_arc = 6.0 * radius + 0.25
 
     jets = [jet_coeffs(fol.program, O[0], O[1], order=1) for fol in web.foliations]
     levels = [jet[0] for jet in jets]

@@ -71,8 +71,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # work caps, checked before anything is allocated: grid points of a report
-# grid (1000 x 1000), integrator steps per leaf direction (max-arc 1000),
-# and seeds per foliation
+# grid (1000 x 1000), integrator steps per leaf direction (max-arc 1000) or
+# hexagon radius walk (radius 1000), and seeds per foliation
 MAX_GRID_POINTS = 1_000_000
 MAX_TRACE_STEPS = 100_000
 MAX_SEEDS = 1_000
@@ -124,6 +124,14 @@ class RunConfig:
                 f"max-arc {self.max_arc:g} exceeds the cap of {MAX_TRACE_STEPS} steps of "
                 f"{H_STEP:g} per direction (max-arc {MAX_TRACE_STEPS * H_STEP:g})"
             )
+        for r in self.radii:
+            if not 0 < r < math.inf:
+                raise ConfigError(f"radii must be positive and finite, got {r:g}")
+            if r / H_STEP > MAX_TRACE_STEPS:
+                raise ConfigError(
+                    f"radii {r:g} exceeds the cap of {MAX_TRACE_STEPS} steps of {H_STEP:g} "
+                    f"(radius {MAX_TRACE_STEPS * H_STEP:g})"
+                )
 
     # -- web construction --------------------------------------------------
 
@@ -323,10 +331,10 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_pipeline(cfg: RunConfig, web: ThreeWeb, verify, *args, **kwargs) -> int:
+def _run_pipeline(cfg: RunConfig, domain: Domain, verify, *args, **kwargs) -> int:
     """Run ``verify(*args, **kwargs)`` with the config's common pipeline
-    settings, write the outputs for ``web``, print the summary, and map the
-    verdict to the exit code."""
+    settings, write the outputs, plotting the web's ``domain``, print the
+    summary, and map the verdict to the exit code."""
     report: LinearizationReport = verify(
         *args,
         seeds_per_foliation=cfg.seeds,
@@ -340,17 +348,11 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, verify, *args, **kwargs) -> int
     out.mkdir(parents=True, exist_ok=True)
     dump_json(report.to_dict(), out / "report.json")
     svg_items = []
-    for fol_index in (1, 2, 3):
-        rows = [
-            (leaf, image)
-            for t in report.traces
-            if t.foliation == fol_index
-            for leaf, image in ((t.pre, 0), (t.post, 1))
-            if leaf is not None
-        ]
-        write_leaf_csv(out / f"leaves_f{fol_index}.csv", rows, with_image=True)
+    for r in report.foliations:
+        rows = [(leaf, image) for pre, post in r.leaves for leaf, image in ((pre, 0), (post, 1))]
+        write_leaf_csv(out / f"leaves_f{r.foliation}.csv", rows, with_image=True)
         svg_items += rows
-    write_svg(out / "web.svg", web.domain, svg_items)
+    write_svg(out / "web.svg", domain, svg_items)
 
     def mark(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
@@ -470,9 +472,10 @@ def _cmd_verify_theorem(args) -> int:
         )
     base = builtin_web(cfg.builtin or "paper")
     web = ThreeWeb(base.foliations, cfg.domain_override(base.domain))
-    return _run_pipeline(
-        cfg, web, verify_linearization, web, line_tol=cfg.tol_line, map_override=cfg.build_map()
-    )
+    m = cfg.build_map()
+    if m is not None:  # the closed-form line check predicts the paper's map only
+        return _run_pipeline(cfg, web.domain, verify_map, web, m)
+    return _run_pipeline(cfg, web.domain, verify_linearization, web, line_tol=cfg.tol_line)
 
 
 def _cmd_verify_map(args) -> int:
@@ -481,7 +484,7 @@ def _cmd_verify_map(args) -> int:
     m = cfg.build_map()
     if m is None:
         raise ConfigError("verify-map needs --map (identity or two expressions)")
-    return _run_pipeline(cfg, web, verify_map, web, m)
+    return _run_pipeline(cfg, web.domain, verify_map, web, m)
 
 
 def _cmd_family(args) -> int:
@@ -489,8 +492,7 @@ def _cmd_family(args) -> int:
     if not (cfg.family_a and cfg.family_b):
         raise ConfigError("family needs --a and --b coefficient expressions")
     a, b, domain = cfg.family_a, cfg.family_b, cfg.domain_override(Domain())
-    web = family_web(a, b, domain)
-    return _run_pipeline(cfg, web, verify_family, a, b, domain, line_tol=cfg.tol_line)
+    return _run_pipeline(cfg, domain, verify_family, a, b, domain, line_tol=cfg.tol_line)
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,6 @@ class Program:
 
     frags: tuple  # per-op source fragment, for error attribution
     source: str  # printable form of the whole expression
-    code: str  # the generated order-3 source of the array binding
     at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
     on_arrays: Callable = field(repr=False, compare=False)
     inline: Callable = field(repr=False, compare=False)  # (template, names, name) -> function
@@ -332,10 +331,10 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     point_names = dict(_POINT_NAMES, fail=fail)
     point_code = {em.order: em.render(result, hook=False) for em, result in zip(emitters, results)}
     at_point = {order: _bind(jet, point_names) for order, jet in point_code.items()}
-    code = emitters[-1].render(results[-1], hook=True)
+    on_arrays = _bind(emitters[-1].render(results[-1], hook=True), _ARRAY_NAMES)
     source = source if source is not None else to_text(e)
     inline = partial(_inline, point_code[1], point_names)
-    return Program(frags, source, code, at_point, _bind(code, _ARRAY_NAMES), inline)
+    return Program(frags, source, at_point, on_arrays, inline)
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:

@@ -34,6 +34,7 @@ DEFECT_TABLE_HEADER = "r,defect"
 # grid in one piece left the process about 7 MiB larger after repeated runs
 _CSV_CHUNK_ROWS = 16384
 
+SVG_WIDTH = 640.0  # pixels
 # fixed stroke palette per foliation (1-based)
 _FOLIATION_COLORS = {0: "#7f7f7f", 1: "#1f77b4", 2: "#2ca02c", 3: "#d62728"}
 
@@ -128,13 +129,9 @@ def _svg_fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def write_svg(
-    path: Path | str,
-    domain: Domain,
-    leaves,
-    width: float = 640.0,
-) -> None:
-    """Static plot with one polyline element per exported leaf.
+def write_svg(path: Path | str, domain: Domain, leaves) -> None:
+    """Static plot, SVG_WIDTH pixels wide, with one polyline element per
+    exported leaf.
 
     ``leaves`` is an iterable of (LeafPolyline, image_flag); images are
     dashed.  The viewport always contains the whole domain box and grows
@@ -153,6 +150,7 @@ def write_svg(
     pad = 0.03 * max(xmax - xmin, ymax - ymin)
     xmin, xmax = xmin - pad, xmax + pad
     ymin, ymax = ymin - pad, ymax + pad
+    width = SVG_WIDTH
     scale = width / (xmax - xmin)
     height = (ymax - ymin) * scale
 

@@ -18,7 +18,7 @@ equivalence statements are per-component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -186,7 +186,9 @@ def _seed_component(domain: Domain, seed) -> int:
 @dataclass(frozen=True)
 class LinearityReport:
     """Per-foliation straightness certificate over traced (and optionally
-    mapped) leaves."""
+    mapped) leaves.  ``leaves`` holds a (traced, image) pair per seed, the
+    image None without a map, for exports and plots; it is not part of the
+    report's dict or of its equality."""
 
     foliation: int
     map_name: str
@@ -198,6 +200,7 @@ class LinearityReport:
     tol: float
     verdict: bool
     flags: tuple  # (seed index, truncation flag) per flag of a traced leaf
+    leaves: tuple = field(default=(), compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -233,16 +236,6 @@ class LineFormulaCheck:
 
 
 @dataclass(frozen=True)
-class TracedLeaf:
-    """One leaf with its image, kept for exports and plots."""
-
-    foliation: int
-    seed: tuple
-    pre: LeafPolyline
-    post: LeafPolyline | None
-
-
-@dataclass(frozen=True)
 class LinearizationReport:
     """Aggregate of every stage of the linearization pipeline."""
 
@@ -252,7 +245,6 @@ class LinearizationReport:
     map_name: str
     foliations: tuple[LinearityReport, LinearityReport, LinearityReport]
     line_check: LineFormulaCheck | None
-    traces: tuple[TracedLeaf, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -287,35 +279,6 @@ def _trace_one(web, fol_index, seed, max_arc) -> LeafPolyline:
     return leaf
 
 
-def _linearity_from_traces(web, fol_index, m, traces, seeds, tol) -> LinearityReport:
-    residuals = []
-    levels = []
-    components = []
-    for seed, (pre, post) in zip(seeds, traces):
-        scored = post if post is not None else pre
-        try:
-            residuals.append(collinearity_residual(scored.vertices))
-        except ValueError as exc:
-            raise TraceError(
-                f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {exc}"
-            ) from exc
-        levels.append(pre.level)
-        components.append(_seed_component(web.domain, seed))
-    max_res = max(residuals)
-    return LinearityReport(
-        foliation=fol_index,
-        map_name=m.name if m is not None else "identity",
-        seeds=tuple(seeds),
-        levels=tuple(levels),
-        components=tuple(components),
-        residuals=tuple(residuals),
-        max_residual=float(max_res),
-        tol=tol,
-        verdict=bool(max_res <= tol),
-        flags=tuple((i, flag) for i, (pre, _) in enumerate(traces) for flag in pre.flags),
-    )
-
-
 def foliation_linearity(
     web: ThreeWeb,
     fol_index: int,
@@ -328,46 +291,54 @@ def foliation_linearity(
     when None), and score collinearity per leaf."""
     if seeds is None:
         seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS)
-    traces = []
+    leaves = []
     for seed in seeds:
         pre = _trace_one(web, fol_index, seed, max_arc)
-        post = push_polyline(m, pre) if m is not None else None
-        traces.append((pre, post))
-    return _linearity_from_traces(web, fol_index, m, traces, seeds, tol)
+        leaves.append((pre, push_polyline(m, pre) if m is not None else None))
+    residuals = []
+    for seed, (pre, post) in zip(seeds, leaves):
+        try:
+            residuals.append(collinearity_residual((pre if post is None else post).vertices))
+        except ValueError as exc:
+            raise TraceError(
+                f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {exc}"
+            ) from exc
+    max_res = max(residuals)
+    return LinearityReport(
+        foliation=fol_index,
+        map_name=m.name if m is not None else "identity",
+        seeds=tuple(seeds),
+        levels=tuple(pre.level for pre, _ in leaves),
+        components=tuple(_seed_component(web.domain, seed) for seed in seeds),
+        residuals=tuple(residuals),
+        max_residual=float(max_res),
+        tol=tol,
+        verdict=bool(max_res <= tol),
+        flags=tuple((i, flag) for i, (pre, _) in enumerate(leaves) for flag in pre.flags),
+        leaves=tuple(leaves),
+    )
 
 
 def _run_pipeline(
     web: ThreeWeb,
     m: PlaneMap,
-    line_formula: Callable[[float, np.ndarray], np.ndarray] | None,
     seeds_per_foliation: int,
     tol: float,
-    line_tol: float,
     grid,
     max_arc: float,
     diffeo_tol: float,
+    line_formula: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    line_tol: float | None = None,
 ) -> LinearizationReport:
     gp = general_position_report(web, grid=grid)
     dif = diffeo_report(m, web.domain, grid=grid, threshold=diffeo_tol)
     seeds = diagonal_seeds(web.domain, seeds_per_foliation)
-
-    fol_reports = []
-    all_traces: list[TracedLeaf] = []
-    per_fol_traces = {}
-    for fol_index in (1, 2, 3):
-        traces = []
-        for seed in seeds:
-            pre = _trace_one(web, fol_index, seed, max_arc)
-            post = push_polyline(m, pre)
-            traces.append((pre, post))
-            all_traces.append(TracedLeaf(fol_index, tuple(seed), pre, post))
-        per_fol_traces[fol_index] = traces
-        fol_reports.append(_linearity_from_traces(web, fol_index, m, traces, seeds, tol))
+    fol_reports = tuple(foliation_linearity(web, i, m, seeds, tol, max_arc) for i in (1, 2, 3))
 
     line_check = None
     if line_formula is not None:
         max_dev = 0.0
-        for pre, post in per_fol_traces[1]:
+        for pre, post in fol_reports[0].leaves:
             c = pre.level
             ybar = post.vertices[:, 1]
             xbar = post.vertices[:, 0]
@@ -376,7 +347,7 @@ def _run_pipeline(
         line_check = LineFormulaCheck(
             max_deviation=max_dev,
             tol=line_tol,
-            n_leaves=len(per_fol_traces[1]),
+            n_leaves=len(fol_reports[0].leaves),
             verdict=bool(max_dev <= line_tol),
         )
 
@@ -391,9 +362,8 @@ def _run_pipeline(
         general_position=gp,
         diffeo=dif,
         map_name=m.name or "map",
-        foliations=tuple(fol_reports),
+        foliations=fol_reports,
         line_check=line_check,
-        traces=tuple(all_traces),
     )
 
 
@@ -403,7 +373,6 @@ def verify_linearization(
     tol: float = DEFAULT_LINEARITY_TOL,
     line_tol: float = DEFAULT_LINE_FORMULA_TOL,
     grid=DEFAULT_GRID,
-    map_override: PlaneMap | None = None,
     max_arc: float = DEFAULT_MAX_ARC,
     diffeo_tol: float = DEFAULT_DIFFEO_TOL,
 ) -> LinearizationReport:
@@ -411,21 +380,15 @@ def verify_linearization(
 
     Checks that (f(x, y), y) is a diffeomorphism on the banded box, that
     all three image foliations are straight, and that every image of a
-    leaf x = c lies on the exact line xbar = (c + ybar) * exp(-c).  With
-    ``map_override`` the closed-form line check is skipped (it predicts
-    images of the canonical map only) and the pipeline reports how the
-    override fails.
+    leaf x = c lies on the exact line xbar = (c + ybar) * exp(-c).  Use
+    :func:`verify_map` to test another map on the same web.
     """
     if web is None:
         web = builtin_web("paper")
-    if map_override is not None:
-        m = map_override
-        formula = None
-    else:
-        m = linearizing_map(web)
-        formula = lambda c, ybar: (c + ybar) * math.exp(-c)  # noqa: E731
+    formula = lambda c, ybar: (c + ybar) * math.exp(-c)  # noqa: E731
     return _run_pipeline(
-        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
+        web, linearizing_map(web), seeds_per_foliation, tol, grid, max_arc, diffeo_tol,
+        line_formula=formula, line_tol=line_tol,
     )
 
 
@@ -457,9 +420,9 @@ def verify_family(
         bv = eval_value(b, (c, 0.0))
         return av * c + bv * ybar
 
-    m = linearizing_map(web)
     return _run_pipeline(
-        web, m, formula, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
+        web, linearizing_map(web), seeds_per_foliation, tol, grid, max_arc, diffeo_tol,
+        line_formula=formula, line_tol=line_tol,
     )
 
 
@@ -474,7 +437,4 @@ def verify_map(
 ) -> LinearizationReport:
     """Does ``m`` linearize ``web``?  Diffeomorphism plus per-foliation
     straightness; no closed-form line check."""
-    line_tol = DEFAULT_LINE_FORMULA_TOL
-    return _run_pipeline(
-        web, m, None, seeds_per_foliation, tol, line_tol, grid, max_arc, diffeo_tol
-    )
+    return _run_pipeline(web, m, seeds_per_foliation, tol, grid, max_arc, diffeo_tol)

@@ -350,8 +350,6 @@ def _grads_on_grid(web: ThreeWeb, xs, ys):
 def general_position_report(
     web: ThreeWeb,
     grid: tuple[int, int] = DEFAULT_GRID,
-    eps_gp: float = EPS_GP,
-    eps_grad: float = EPS_GRAD,
 ) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
     three foliations at every admissible grid point."""
@@ -369,7 +367,7 @@ def general_position_report(
 
     for idx, g in enumerate((g1, g2, g3), start=1):
         norms = np.hypot(g[:, 0], g[:, 1])
-        for i in np.nonzero(norms < eps_grad)[0]:
+        for i in np.nonzero(norms < EPS_GRAD)[0]:
             failures.append(
                 GridFailure(float(xs[i]), float(ys[i]), f"grad{idx}", float(norms[i]))
             )
@@ -378,7 +376,7 @@ def general_position_report(
     for (ia, ga), (ib, gb) in (((1, g1), (2, g2)), ((1, g1), (3, g3)), ((2, g2), (3, g3))):
         det = np.abs(ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0])
         min_det = min(min_det, float(det.min()))
-        for i in np.nonzero(det < eps_gp)[0]:
+        for i in np.nonzero(det < EPS_GP)[0]:
             failures.append(
                 GridFailure(
                     float(xs[i]), float(ys[i]), f"pair{ia}{ib}", float(det[i])
@@ -424,20 +422,20 @@ class LeafPolyline:
         return int(self.vertices.shape[0])
 
 
-def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, closing=False):
+def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, stop=None):
     """Walk the leaf u = level of ``fol`` from ``p0``, where the gradient is
     ``grad``, by the signed arc lengths ``steps``.
 
     Returns the points after ``p0`` and why the walk ended: None when it
     took every step; "boundary" at the edge of the admissible domain;
-    "closed" (only with ``closing``) back within one step of ``p0`` after
-    at least three; else the truncation flag.  The third item is the
-    point the walk stopped at, or the EvalDomainError of "domain_exit".
+    "stop" when ``stop(k, x, y)`` holds for the k-th point (x, y), counting
+    from 1; else the truncation flag.  The third item is the point the walk
+    stopped at, or the EvalDomainError of "domain_exit".
     """
     advance = fol.advance
     (x, y), (gx, gy) = p0, grad
     pts: list[tuple[float, float]] = []
-    for k, ds in enumerate(steps):
+    for k, ds in enumerate(steps, 1):
         try:
             xn, yn, gx, gy, converged = advance(x, y, gx, gy, ds, level)
         except _GradCollapse:
@@ -450,8 +448,8 @@ def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, closing
             return pts, "boundary", (xn, yn)
         pts.append((xn, yn))
         x, y = xn, yn
-        if closing and k >= 2 and math.hypot(x - p0[0], y - p0[1]) < H_STEP:
-            return pts, "closed", (x, y)
+        if stop is not None and stop(k, x, y):
+            return pts, "stop", (x, y)
     return pts, None, (x, y)
 
 
@@ -480,10 +478,15 @@ def trace_leaf(
         raise TraceError("max_arc must be positive")
     n_steps = int(max_arc / H_STEP + 1e-12)
 
+    def closed(k, x, y):  # back within one step of the seed after three
+        return k >= 3 and math.hypot(x - x0, y - y0) < H_STEP
+
     walk = (fol, level, (x0, y0), c0[1:])
-    fwd, flag_f, _ = _walk(*walk, itertools.repeat(H_STEP, n_steps), domain, closing=True)
+    fwd, flag_f, _ = _walk(*walk, itertools.repeat(H_STEP, n_steps), domain, closed)
     bwd, flag_b = [], None
-    if flag_f != "closed":
+    if flag_f == "stop":
+        flag_f = "closed"
+    else:
         bwd, flag_b, _ = _walk(*walk, itertools.repeat(-H_STEP, n_steps), domain)
 
     pts = list(reversed(bwd)) + [(x0, y0)] + fwd
@@ -526,7 +529,9 @@ def _walk_arc(fol: Foliation, jet, p0, arc: float, domain: Domain):
     h = H_STEP if arc >= 0 else -H_STEP
     n_full = int(abs(arc) / H_STEP + 1e-12)
     rest = abs(arc) - n_full * H_STEP
-    steps = [h] * n_full + ([math.copysign(rest, arc)] if rest > 1e-12 else [])
+    steps = itertools.chain(
+        itertools.repeat(h, n_full), [math.copysign(rest, arc)] if rest > 1e-12 else []
+    )
     pts, stop, at = _walk(fol, jet[0], p0, jet[1:], steps, domain)
     if stop == "domain_exit":
         raise at
@@ -543,6 +548,8 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float,
     or the gradient degenerates.
     """
     x, y = float(p0[0]), float(p0[1])
+    if not math.isfinite(arc):
+        raise TraceError(f"arc must be finite, got {arc}")
     c0 = jet_coeffs(fol.program, x, y, order=1)
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")

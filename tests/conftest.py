@@ -100,9 +100,10 @@ def theorem_report():
 @pytest.fixture(scope="session")
 def identity_report():
     from triweb.transform import identity_map
-    from triweb.verify import verify_linearization
+    from triweb.verify import verify_map
+    from triweb.web import builtin_web
 
-    return verify_linearization(map_override=identity_map())
+    return verify_map(builtin_web("paper"), identity_map())
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ import pytest
 from triweb.errors import EvalDomainError, HexagonError, NormalFormError
 from triweb.expr import eval_value, parse
 from triweb.analysis import (
+    _leg_to_level,
     blaschke_curvature,
     curvature_grid,
     hexagon_defect,
@@ -238,6 +239,31 @@ class TestHexagon:
     def test_bad_radius(self, paper_web):
         with pytest.raises(HexagonError, match="positive"):
             hexagon_defect(paper_web, (0.0, 0.0), 0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius(self, paper_web, radius):
+        with pytest.raises(HexagonError, match="positive and finite"):
+            hexagon_defect(paper_web, (0.0, 0.0), radius)
+
+    @pytest.mark.parametrize(
+        "x0,side,steps",
+        [
+            (0.02, 1, 43),  # forward crossing nearer
+            (-0.02, -1, 43),  # backward crossing nearer
+            (0.0, 1, 45),  # a tie: forward wins
+            (-0.002, 1, 45),  # backward nearer in arc, but not in steps: forward wins
+        ],
+    )
+    def test_leg_takes_the_nearer_crossing(self, x0, side, steps):
+        # the leaves of y are the lines y = c, walked towards +x, and the
+        # level set x^2 = 0.2 is the pair of lines x = +-0.4472
+        web = ThreeWeb(
+            (Foliation(parse("y")), Foliation(parse("x^2")), Foliation(parse("x+y"))), Domain()
+        )
+        q, path = _leg_to_level(web, 1, 2, (x0, 0.3), 0.2, 1.0)
+        assert q == pytest.approx((side * math.sqrt(0.2), 0.3), abs=1e-9)
+        assert len(path) == steps + 1 and path[0] == (x0, 0.3) and path[-1] == q
+        assert (path[-2][0] - x0) * side == pytest.approx(0.01 * (steps - 1))
 
     def test_legs_recorded_for_export(self, parallel_web):
         fig = hexagon_defect(parallel_web, (0.0, 0.0), 0.5)

@@ -501,12 +501,13 @@ class TestWorkCaps:
             RunConfig(max_arc=1000.01),
             RunConfig(max_arc=math.inf),
             RunConfig(max_arc=math.nan),
+            RunConfig(radii=(0.1, 1000.01)),
         ):
             with pytest.raises(ConfigError, match="cap"):
                 cfg.validate()
 
     def test_caps_admit_the_largest_runs(self):
-        RunConfig(grid=(1000, 1000), max_arc=1000.0).validate()
+        RunConfig(grid=(1000, 1000), max_arc=1000.0, radii=(1000.0,)).validate()
         RunConfig(grid=(500, 500)).validate()
 
     def test_seed_cap(self):
@@ -520,6 +521,7 @@ class TestWorkCaps:
             ["analyze", "--builtin", "paper", "--grid", "1001", "1000"],
             ["verify-theorem", "--max-arc", "inf"],
             ["trace", "--builtin", "paper", "--seeds", "20000", "--max-arc", "0.01"],
+            ["hexagon", "--builtin", "paper", "--center", "0", "0", "--radii", "1e9"],
         ],
     )
     def test_cli_exits_2(self, tmp_path, capsys, argv):
@@ -540,6 +542,10 @@ class TestNonFiniteSettings:
             (["analyze", "--builtin", "paper", "--tol-curvature", "nan"], "tol-curvature"),
             (["analyze", "--builtin", "paper", "--margin", "nan"], "margin"),
             (["trace", "--builtin", "paper", "--margin", "inf"], "margin"),
+            *(
+                (["hexagon", "--builtin", "paper", "--center", "0", "0", "--radii", r], "radii")
+                for r in ("nan", "inf", "-1", "0")
+            ),
         ],
     )
     def test_exits_2_naming_the_setting(self, tmp_path, capsys, argv, name):
@@ -700,6 +706,18 @@ class TestMoreCommandPaths:
         rep = json.loads((tmp_path / "report.json").read_text())
         assert rep["map"] == "custom"
         assert rep["line_formula"] is None
+
+    def test_verify_theorem_with_map_writes_verify_maps_files(self, tmp_path):
+        common = ["--builtin", "paper", "--map", "identity", "--seeds", "2", "--max-arc", "0.5"]
+        assert main(["verify-theorem", *common, "--out", str(tmp_path / "theorem")]) == 1
+        assert main(["verify-map", *common, "--out", str(tmp_path / "map")]) == 1
+        names = sorted(p.name for p in (tmp_path / "theorem").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "map").iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "theorem" / name).read_bytes() == (
+                tmp_path / "map" / name
+            ).read_bytes(), name
 
     def test_analyze_non_normal_form_is_config_error(self, tmp_path):
         code = main(

@@ -214,9 +214,8 @@ EDGE_LEAVES = [
 def _pipeline_items(report, fol_index):
     return [
         (leaf, image)
-        for t in report.traces
-        if t.foliation == fol_index
-        for leaf, image in ((t.pre, 0), (t.post, 1))
+        for pre, post in report.foliations[fol_index - 1].leaves
+        for leaf, image in ((pre, 0), (post, 1))
     ]
 
 

@@ -230,9 +230,9 @@ class TestVerifyLinearization:
 
     def test_line_formula_values(self, theorem_report):
         # spot-check one F1 trace against the closed-form image line
-        t = next(t for t in theorem_report.traces if t.foliation == 1)
-        c = t.pre.level
-        xbar, ybar = t.post.vertices[:, 0], t.post.vertices[:, 1]
+        pre, post = theorem_report.foliations[0].leaves[0]
+        c = pre.level
+        xbar, ybar = post.vertices[:, 0], post.vertices[:, 1]
         assert np.abs(xbar - (c + ybar) * math.exp(-c)).max() <= 1e-9
 
 
@@ -240,11 +240,9 @@ class TestVerifyFamily:
     def test_unit_shear(self):
         rep = verify_family("1", "1")
         assert rep.overall_pass
-        t = next(t for t in rep.traces if t.foliation == 1)
-        c = t.pre.level
-        assert np.abs(
-            t.post.vertices[:, 0] - (c + t.post.vertices[:, 1])
-        ).max() <= 1e-12
+        pre, post = rep.foliations[0].leaves[0]
+        c = pre.level
+        assert np.abs(post.vertices[:, 0] - (c + post.vertices[:, 1])).max() <= 1e-12
 
     def test_exponential_member_matches_theorem_run(self, theorem_report):
         dom = Domain(box=(-2, 2, -2, 2), exclude=parse("1-x-y"), margin=0.05)
@@ -258,10 +256,10 @@ class TestVerifyFamily:
     def test_quadratic_member(self):
         rep = verify_family("1+x", "2", Domain(box=(0, 2, -2, 2)))
         assert rep.overall_pass
-        t = next(t for t in rep.traces if t.foliation == 1)
-        c = t.pre.level
-        expected = (1.0 + c) * c + 2.0 * t.post.vertices[:, 1]
-        assert np.abs(t.post.vertices[:, 0] - expected).max() <= 1e-9
+        pre, post = rep.foliations[0].leaves[0]
+        c = pre.level
+        expected = (1.0 + c) * c + 2.0 * post.vertices[:, 1]
+        assert np.abs(post.vertices[:, 0] - expected).max() <= 1e-9
 
     def test_general_position_precondition_visible(self):
         # box straddles f_x = 1 + 2x = 0, so the pipeline must not pass

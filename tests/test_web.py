@@ -275,6 +275,16 @@ class TestWalkOnLeaf:
         with pytest.raises(TraceError, match="left the admissible domain"):
             walk_on_leaf(paper_web.foliation(1), (0.0, 1.05), 0.5, paper_web.domain)
 
+    def test_huge_arc_walks_lazily_to_the_boundary(self, paper_web):
+        # 1e11 steps: a step list built up front would not fit in memory
+        with pytest.raises(TraceError, match="left the admissible domain"):
+            walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), 1e9, paper_web.domain)
+
+    @pytest.mark.parametrize("arc", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arc(self, paper_web, arc):
+        with pytest.raises(TraceError, match="finite"):
+            walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), arc, paper_web.domain)
+
 
 class TestClosedLeaves:
     def test_circle_stops_after_one_turn(self):
