@@ -41,7 +41,9 @@ from .verify import (
     LineFormulaCheck,
     collinearity_residual,
     diagonal_seeds,
+    family_line,
     foliation_linearity,
+    paper_line,
     verify_family,
     verify_linearization,
     verify_map,

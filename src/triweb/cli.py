@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,26 +40,26 @@ from .outputs import (
     write_leaf_csv,
     write_svg,
 )
-from .transform import DEFAULT_DIFFEO_TOL, PlaneMap, identity_map
+from .transform import DEFAULT_DIFFEO_TOL, PlaneMap, identity_map, linearizing_map
 from .verify import (
     DEFAULT_LINE_FORMULA_TOL,
     DEFAULT_LINEARITY_TOL,
     DEFAULT_MAX_ARC,
     DEFAULT_SEEDS,
-    LinearizationReport,
     diagonal_seeds,
-    verify_family,
-    verify_linearization,
+    family_line,
+    paper_line,
     verify_map,
 )
 from .web import (
     BUILTIN_WEB_NAMES,
+    DEFAULT_BOX,
     DEFAULT_GRID,
     H_STEP,
     Domain,
     Foliation,
     ThreeWeb,
-    builtin_web,
+    builtin_spec,
     family_web,
     general_position_report,
     trace_leaf,
@@ -135,13 +135,10 @@ class RunConfig:
 
     # -- web construction --------------------------------------------------
 
-    def domain_override(self, base: Domain) -> Domain:
-        box = self.box if self.box is not None else base.box
-        exclude = parse_expr(self.exclude) if self.exclude is not None else base.exclude
-        margin = self.margin if self.margin is not None else base.margin
-        return Domain(box=box, exclude=exclude, margin=margin)
-
     def build_web(self) -> ThreeWeb:
+        """The web the config names, on the domain of its builtin row (for
+        ``--web`` and ``--a/--b``: the default box, no exclusion) with the
+        config's box, exclusion and margin in place of that row's."""
         chosen = [
             k
             for k, v in (
@@ -153,23 +150,23 @@ class RunConfig:
         ]
         if len(chosen) > 1:
             raise ConfigError(f"give exactly one web spec, got {' and '.join(chosen)}")
-        if self.builtin:
-            base = builtin_web(self.builtin)
-            return ThreeWeb(base.foliations, self.domain_override(base.domain))
-        if self.integrals:
-            u1, u2, u3 = (parse_expr(t) for t in self.integrals)
-            domain = self.domain_override(Domain())
-            return ThreeWeb(
-                (Foliation(u1, "F1"), Foliation(u2, "F2"), Foliation(u3, "F3")),
-                domain,
-            )
-        if self.family_a or self.family_b:
-            if not (self.family_a and self.family_b):
-                raise ConfigError("family web needs both --a and --b")
-            return family_web(
-                self.family_a, self.family_b, self.domain_override(Domain())
-            )
-        raise ConfigError("no web specified: use --builtin, --web, or --a/--b")
+        if not chosen:
+            raise ConfigError("no web specified: use --builtin, --web, or --a/--b")
+        family = self.family_a or self.family_b
+        if family and not (self.family_a and self.family_b):
+            raise ConfigError("family web needs both --a and --b")
+        integrals, box, exclude, margin = (
+            builtin_spec(self.builtin) if self.builtin else (self.integrals, DEFAULT_BOX, None, 0.0)
+        )
+        exclude = self.exclude if self.exclude is not None else exclude
+        domain = Domain(
+            self.box if self.box is not None else box,
+            parse_expr(exclude) if exclude is not None else None,
+            self.margin if self.margin is not None else margin,
+        )
+        if family:
+            return family_web(self.family_a, self.family_b, domain)
+        return ThreeWeb.from_integrals(integrals, domain)
 
     def build_map(self) -> PlaneMap | None:
         if self.map_spec is None:
@@ -177,9 +174,8 @@ class RunConfig:
         if self.map_spec == ("identity",):
             return identity_map()
         if len(self.map_spec) == 2:
-            return PlaneMap(
-                parse_expr(self.map_spec[0]), parse_expr(self.map_spec[1]), name="custom"
-            )
+            comp1, comp2 = (Foliation(parse_expr(t)) for t in self.map_spec)
+            return PlaneMap(comp1, comp2, name="custom")
         raise ConfigError("--map takes 'identity' or two component expressions")
 
 
@@ -214,7 +210,7 @@ class Setting(NamedTuple):
 
 # the commands that read each group of settings: a command takes a flag
 # only if it reads the setting, so argparse rejects any other flag
-_WEB_COMMANDS = ("analyze", "trace", "hexagon", "verify-map")  # RunConfig.build_web
+_WEB_COMMANDS = ("analyze", "trace", "hexagon", "verify-map")  # any web of build_web
 _PIPELINE = ("verify-theorem", "verify-map", "family")
 SETTINGS = (
     Setting("--out", "out", help="output directory (default: out)"),
@@ -331,18 +327,20 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_pipeline(cfg: RunConfig, domain: Domain, verify, *args, **kwargs) -> int:
-    """Run ``verify(*args, **kwargs)`` with the config's common pipeline
-    settings, write the outputs, plotting the web's ``domain``, print the
-    summary, and map the verdict to the exit code."""
-    report: LinearizationReport = verify(
-        *args,
+def _run_pipeline(cfg: RunConfig, web: ThreeWeb, m: PlaneMap, line_formula=None) -> int:
+    """Run :func:`verify_map` on ``web`` and ``m`` with the config's pipeline
+    settings, write the outputs, print the summary, and map the verdict to
+    the exit code."""
+    report = verify_map(
+        web,
+        m,
         seeds_per_foliation=cfg.seeds,
         tol=cfg.tol_linearity,
         grid=cfg.grid,
         max_arc=cfg.max_arc,
         diffeo_tol=cfg.tol_diffeo,
-        **kwargs,
+        line_formula=line_formula,
+        line_tol=cfg.tol_line,
     )
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -352,7 +350,7 @@ def _run_pipeline(cfg: RunConfig, domain: Domain, verify, *args, **kwargs) -> in
         rows = [(leaf, image) for pre, post in r.leaves for leaf, image in ((pre, 0), (post, 1))]
         write_leaf_csv(out / f"leaves_f{r.foliation}.csv", rows, with_image=True)
         svg_items += rows
-    write_svg(out / "web.svg", domain, svg_items)
+    write_svg(out / "web.svg", web.domain, svg_items)
 
     def mark(ok: bool) -> str:
         return "PASS" if ok else "FAIL"
@@ -470,12 +468,16 @@ def _cmd_verify_theorem(args) -> int:
             "verify-theorem runs the bundled web; use verify-map or family "
             "for other webs"
         )
-    base = builtin_web(cfg.builtin or "paper")
-    web = ThreeWeb(base.foliations, cfg.domain_override(base.domain))
+    if cfg.map_spec is None and cfg.builtin not in (None, "paper"):
+        raise ConfigError(
+            f"verify-theorem checks the paper's closed-form lines, which do not describe "
+            f"builtin web {cfg.builtin!r}; use verify-map --builtin {cfg.builtin} --map M"
+        )
+    web = replace(cfg, builtin=cfg.builtin or "paper").build_web()
     m = cfg.build_map()
     if m is not None:  # the closed-form line check predicts the paper's map only
-        return _run_pipeline(cfg, web.domain, verify_map, web, m)
-    return _run_pipeline(cfg, web.domain, verify_linearization, web, line_tol=cfg.tol_line)
+        return _run_pipeline(cfg, web, m)
+    return _run_pipeline(cfg, web, linearizing_map(web), paper_line)
 
 
 def _cmd_verify_map(args) -> int:
@@ -484,15 +486,15 @@ def _cmd_verify_map(args) -> int:
     m = cfg.build_map()
     if m is None:
         raise ConfigError("verify-map needs --map (identity or two expressions)")
-    return _run_pipeline(cfg, web.domain, verify_map, web, m)
+    return _run_pipeline(cfg, web, m)
 
 
 def _cmd_family(args) -> int:
     cfg = _config_from_sources(args)
     if not (cfg.family_a and cfg.family_b):
         raise ConfigError("family needs --a and --b coefficient expressions")
-    a, b, domain = cfg.family_a, cfg.family_b, cfg.domain_override(Domain())
-    return _run_pipeline(cfg, domain, verify_family, a, b, domain, line_tol=cfg.tol_line)
+    web = cfg.build_web()
+    return _run_pipeline(cfg, web, linearizing_map(web), family_line(cfg.family_a, cfg.family_b))
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,3 @@ def is_var_x(e: Expr) -> bool:
 def is_var_y(e: Expr) -> bool:
     return isinstance(e, Var) and e.axis == 1
 
-
-X = Var(_SPAN_NONE, 0)
-Y = Var(_SPAN_NONE, 1)

@@ -100,9 +100,6 @@ class Jet3:
 
     # -- accessors -----------------------------------------------------------
 
-    def coeff(self, i: int, j: int) -> float:
-        return float(self._c[JET_INDEX[(i, j)]])
-
     def as_array(self) -> np.ndarray:
         return self._c
 

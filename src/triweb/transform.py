@@ -1,6 +1,8 @@
 """Candidate plane diffeomorphisms and leaf push-forwards.
 
-A map is a pair of component expressions.  The linearizing candidate for
+A map is a pair of components, each a :class:`~triweb.web.Foliation`: a
+function compiled once, so a map built from a web's integrals shares
+their generated code.  The linearizing candidate for
 a normal-form web sends (x, y) to (f(x, y), y), where f is the web
 function: it straightens the second and third foliations by
 construction, and its Jacobian determinant equals df/dx, so it is a
@@ -18,52 +20,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalFormError
-from .expr import Expr, parse
-from .kernels import compile_expr, jet_coeffs, jet_coeffs_or_raise
-from .web import DEFAULT_GRID, Domain, LeafPolyline, ThreeWeb
+from .expr import parse
+from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .web import DEFAULT_GRID, Domain, Foliation, LeafPolyline, ThreeWeb
 
 DEFAULT_DIFFEO_TOL = 1e-6  # floor on |det J| at every admissible grid point
 
 
 @dataclass(frozen=True)
 class PlaneMap:
-    """Candidate local diffeomorphism given by two component expressions."""
+    """Candidate local diffeomorphism (x, y) -> (comp1, comp2)."""
 
-    comp1: Expr
-    comp2: Expr
+    comp1: Foliation
+    comp2: Foliation
     name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "_p1", compile_expr(self.comp1))
-        object.__setattr__(self, "_p2", compile_expr(self.comp2))
 
     @property
     def programs(self):
-        return self._p1, self._p2
-
-    @property
-    def is_identity(self) -> bool:
-        from .expr import is_var_x, is_var_y
-
-        return is_var_x(self.comp1) and is_var_y(self.comp2)
+        return self.comp1.program, self.comp2.program
 
 
 def identity_map() -> PlaneMap:
-    return PlaneMap(parse("x"), parse("y"), name="identity")
+    return PlaneMap(Foliation(parse("x")), Foliation(parse("y")), name="identity")
 
 
 def linearizing_map(web: ThreeWeb) -> PlaneMap:
     """The change of variables (x, y) -> (f(x, y), y) built from the web
     function of a normal-form web.
 
-    Requires u1 = x and u2 = y structurally; the first component is the
-    third integral itself.
+    Requires u1 = x and u2 = y structurally; the components are the web's
+    third and second foliations themselves, so nothing is compiled.
     """
     if not web.is_normal_form:
         raise NormalFormError(
             "linearizing map requires a web in normal form (u1 = x, u2 = y)"
         )
-    return PlaneMap(web.web_function.integral, parse("y"), name="linearizing")
+    return PlaneMap(web.foliation(3), web.foliation(2), "linearizing")
 
 
 def apply_map(m: PlaneMap, p) -> tuple[float, float]:

@@ -319,17 +319,39 @@ def foliation_linearity(
     )
 
 
-def _run_pipeline(
+def paper_line(c: float, ybar: np.ndarray) -> np.ndarray:
+    """The paper's image line of the leaf x = c: xbar = (c + ybar) exp(-c)."""
+    return (c + ybar) * math.exp(-c)
+
+
+def family_line(a: Expr | str, b: Expr | str) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The family's image line of the leaf x = c: xbar = a(c) c + b(c) ybar,
+    with a and b evaluated independently of the web function's own
+    expression tree."""
+    a = parse(a) if isinstance(a, str) else a
+    b = parse(b) if isinstance(b, str) else b
+
+    def line(c: float, ybar: np.ndarray) -> np.ndarray:
+        return eval_value(a, (c, 0.0)) * c + eval_value(b, (c, 0.0)) * ybar
+
+    return line
+
+
+def verify_map(
     web: ThreeWeb,
     m: PlaneMap,
-    seeds_per_foliation: int,
-    tol: float,
-    grid,
-    max_arc: float,
-    diffeo_tol: float,
+    seeds_per_foliation: int = DEFAULT_SEEDS,
+    tol: float = DEFAULT_LINEARITY_TOL,
+    grid=DEFAULT_GRID,
+    max_arc: float = DEFAULT_MAX_ARC,
+    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
     line_formula: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    line_tol: float | None = None,
+    line_tol: float = DEFAULT_LINE_FORMULA_TOL,
 ) -> LinearizationReport:
+    """Does ``m`` linearize ``web``?  General position, diffeomorphism and
+    per-foliation straightness; with ``line_formula(c, ybar)``, also that
+    the image of each first-foliation leaf of level c lies within
+    ``line_tol`` of xbar = line_formula(c, ybar)."""
     gp = general_position_report(web, grid=grid)
     dif = diffeo_report(m, web.domain, grid=grid, threshold=diffeo_tol)
     seeds = diagonal_seeds(web.domain, seeds_per_foliation)
@@ -339,10 +361,7 @@ def _run_pipeline(
     if line_formula is not None:
         max_dev = 0.0
         for pre, post in fol_reports[0].leaves:
-            c = pre.level
-            ybar = post.vertices[:, 1]
-            xbar = post.vertices[:, 0]
-            dev = np.abs(xbar - line_formula(c, ybar))
+            dev = np.abs(post.vertices[:, 0] - line_formula(pre.level, post.vertices[:, 1]))
             max_dev = max(max_dev, float(dev.max()))
         line_check = LineFormulaCheck(
             max_deviation=max_dev,
@@ -355,7 +374,7 @@ def _run_pipeline(
         gp.verdict
         and dif.verdict
         and all(r.verdict for r in fol_reports)
-        and (line_check.verdict if line_check is not None else True)
+        and (line_check is None or line_check.verdict)
     )
     return LinearizationReport(
         overall_pass=bool(overall),
@@ -367,74 +386,27 @@ def _run_pipeline(
     )
 
 
-def verify_linearization(
-    web: ThreeWeb | None = None,
-    seeds_per_foliation: int = DEFAULT_SEEDS,
-    tol: float = DEFAULT_LINEARITY_TOL,
-    line_tol: float = DEFAULT_LINE_FORMULA_TOL,
-    grid=DEFAULT_GRID,
-    max_arc: float = DEFAULT_MAX_ARC,
-    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
-) -> LinearizationReport:
+def verify_linearization(web: ThreeWeb | None = None, **kwargs) -> LinearizationReport:
     """Full pipeline for the bundled exponential-shear web.
 
     Checks that (f(x, y), y) is a diffeomorphism on the banded box, that
     all three image foliations are straight, and that every image of a
-    leaf x = c lies on the exact line xbar = (c + ybar) * exp(-c).  Use
-    :func:`verify_map` to test another map on the same web.
+    leaf x = c lies on the exact line xbar = (c + ybar) * exp(-c)
+    (:func:`paper_line`).  The keywords are those of :func:`verify_map`,
+    which tests another map on the same web.
     """
-    if web is None:
-        web = builtin_web("paper")
-    formula = lambda c, ybar: (c + ybar) * math.exp(-c)  # noqa: E731
-    return _run_pipeline(
-        web, linearizing_map(web), seeds_per_foliation, tol, grid, max_arc, diffeo_tol,
-        line_formula=formula, line_tol=line_tol,
-    )
+    web = web or builtin_web("paper")
+    return verify_map(web, linearizing_map(web), line_formula=paper_line, **kwargs)
 
 
 def verify_family(
-    a: Expr | str,
-    b: Expr | str,
-    domain: Domain | None = None,
-    seeds_per_foliation: int = DEFAULT_SEEDS,
-    tol: float = DEFAULT_LINEARITY_TOL,
-    line_tol: float = DEFAULT_LINE_FORMULA_TOL,
-    grid=DEFAULT_GRID,
-    max_arc: float = DEFAULT_MAX_ARC,
-    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
+    a: Expr | str, b: Expr | str, domain: Domain | None = None, **kwargs
 ) -> LinearizationReport:
     """Same pipeline for the family f(x, y) = a(x) x + b(x) y.
 
     The first-foliation image lines are checked against
-    xbar = a(c) c + b(c) ybar, with a and b evaluated independently of
-    the web function's own expression tree.
+    xbar = a(c) c + b(c) ybar (:func:`family_line`).  The keywords are
+    those of :func:`verify_map`.
     """
-    if isinstance(a, str):
-        a = parse(a)
-    if isinstance(b, str):
-        b = parse(b)
     web = family_web(a, b, domain)
-
-    def formula(c: float, ybar: np.ndarray) -> np.ndarray:
-        av = eval_value(a, (c, 0.0))
-        bv = eval_value(b, (c, 0.0))
-        return av * c + bv * ybar
-
-    return _run_pipeline(
-        web, linearizing_map(web), seeds_per_foliation, tol, grid, max_arc, diffeo_tol,
-        line_formula=formula, line_tol=line_tol,
-    )
-
-
-def verify_map(
-    web: ThreeWeb,
-    m: PlaneMap,
-    seeds_per_foliation: int = DEFAULT_SEEDS,
-    tol: float = DEFAULT_LINEARITY_TOL,
-    grid=DEFAULT_GRID,
-    max_arc: float = DEFAULT_MAX_ARC,
-    diffeo_tol: float = DEFAULT_DIFFEO_TOL,
-) -> LinearizationReport:
-    """Does ``m`` linearize ``web``?  Diffeomorphism plus per-foliation
-    straightness; no closed-form line check."""
-    return _run_pipeline(web, m, seeds_per_foliation, tol, grid, max_arc, diffeo_tol)
+    return verify_map(web, linearizing_map(web), line_formula=family_line(a, b), **kwargs)

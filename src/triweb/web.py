@@ -43,6 +43,7 @@ TOL_LEVEL = 1e-9  # level invariant every vertex must satisfy
 EPS_GRAD = 1e-6  # minimal usable gradient norm
 EPS_GP = 1e-6  # minimal pairwise transversality determinant
 DEFAULT_GRID = (41, 41)
+DEFAULT_BOX = (-2.0, 2.0, -2.0, 2.0)
 DEFAULT_MARGIN = 0.05
 
 
@@ -54,8 +55,9 @@ def _advance_source() -> str:
     """The leaf stepper, one per foliation: advance(x, y, gx, gy, h, level)
     takes the gradient (gx, gy) at (x, y), makes one RK4 step of signed arc
     h along the unit tangent (u_y, -u_x)/|grad u|, projects back onto
-    u = level by Newton steps along the gradient, and returns the new
-    point, the gradient there and whether it meets its level.  Each line
+    u = level by at most PROJ_MAX_ITER Newton steps along the gradient, and
+    returns the new point, the gradient there and whether it meets its
+    level.  Each line
     "... = jet(a, b)" becomes the order-1 jet inlined at (a, b).  The
     projection's last jet is taken at the returned point, so its gradient
     serves as the next step's first RK4 stage."""
@@ -70,11 +72,13 @@ def _advance_source() -> str:
                  "u, gx, gy = jet(sx, sy)", *tangent(k)]
     body += ["px = x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x)",
              "py = y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y)"]
-    body += ["u, gx, gy = jet(px, py)", "r = u - level",
-             f"if abs(r) <= {PROJ_TOL!r}: return px, py, gx, gy, True",
-             "n2 = gx * gx + gy * gy", f"if n2 < {EPS_GRAD * EPS_GRAD!r}: raise GradCollapse",
-             "px -= r * gx / n2", "py -= r * gy / n2"] * PROJ_MAX_ITER
-    body += ["u, gx, gy = jet(px, py)", f"return px, py, gx, gy, abs(u - level) <= {TOL_LEVEL!r}"]
+    # a counted while loop: "for _ in range(...)" costs about 0.2 us per step
+    body += ["_ = 0", "while True:"] + [f"    {b}" for b in (
+        "u, gx, gy = jet(px, py)", "r = u - level",
+        f"if abs(r) <= {PROJ_TOL!r}: return px, py, gx, gy, True",
+        f"if _ == {PROJ_MAX_ITER}: return px, py, gx, gy, abs(r) <= {TOL_LEVEL!r}",
+        "n2 = gx * gx + gy * gy", f"if n2 < {EPS_GRAD * EPS_GRAD!r}: raise GradCollapse",
+        "px -= r * gx / n2", "py -= r * gy / n2", "_ += 1")]
     return "def advance(x, y, gx, gy, h, level):\n" + "".join(f"    {b}\n" for b in body)
 
 
@@ -96,7 +100,7 @@ class Domain:
     is how degenerate-locus experiments are run.
     """
 
-    box: tuple[float, float, float, float] = (-2.0, 2.0, -2.0, 2.0)
+    box: tuple[float, float, float, float] = DEFAULT_BOX
     exclude: Expr | None = None
     margin: float = 0.0
 
@@ -199,6 +203,17 @@ class ThreeWeb:
     foliations: tuple[Foliation, Foliation, Foliation]
     domain: Domain
 
+    @classmethod
+    def from_integrals(cls, integrals, domain: Domain) -> "ThreeWeb":
+        """The web of three integrals (expressions or their text), F1-F3."""
+        return cls(
+            tuple(
+                Foliation(parse(u) if isinstance(u, str) else u, f"F{i}")
+                for i, u in enumerate(integrals, 1)
+            ),
+            domain,
+        )
+
     def foliation(self, index: int) -> Foliation:
         """1-based accessor matching the F1/F2/F3 naming in reports."""
         if index not in (1, 2, 3):
@@ -217,39 +232,23 @@ class ThreeWeb:
         return self.foliations[2]
 
 
-def _web(u1: str, u2: str, u3: str, domain: Domain, names=("F1", "F2", "F3")):
-    return ThreeWeb(
-        (
-            Foliation(parse(u1), names[0]),
-            Foliation(parse(u2), names[1]),
-            Foliation(parse(u3), names[2]),
-        ),
-        domain,
-    )
-
-
-def _paper_web() -> ThreeWeb:
-    domain = Domain(
-        box=(-2.0, 2.0, -2.0, 2.0), exclude=parse("1-x-y"), margin=DEFAULT_MARGIN
-    )
-    return _web("x", "y", "(x+y)*exp(-x)", domain)
-
-
-def _parallel_web() -> ThreeWeb:
-    return _web("x", "y", "x+y", Domain(box=(-2.0, 2.0, -2.0, 2.0)))
-
-
-def _product_web() -> ThreeWeb:
-    return _web("x", "y", "x*y", Domain(box=(1.0, 2.0, 1.0, 2.0)))
-
-
-_BUILTINS = {
-    "paper": _paper_web,
-    "parallel": _parallel_web,
-    "product": _product_web,
+# name -> (integrals, box, exclusion, margin)
+BUILTINS = {
+    "paper": (("x", "y", "(x+y)*exp(-x)"), DEFAULT_BOX, "1-x-y", DEFAULT_MARGIN),
+    "parallel": (("x", "y", "x+y"), DEFAULT_BOX, None, 0.0),
+    "product": (("x", "y", "x*y"), (1.0, 2.0, 1.0, 2.0), None, 0.0),
 }
+BUILTIN_WEB_NAMES = tuple(sorted(BUILTINS))
 
-BUILTIN_WEB_NAMES = tuple(sorted(_BUILTINS))
+
+def builtin_spec(name: str) -> tuple:
+    """The row of :data:`BUILTINS` for ``name``."""
+    try:
+        return BUILTINS[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown builtin web {name!r}; available: {', '.join(BUILTIN_WEB_NAMES)}"
+        ) from None
 
 
 def builtin_web(name: str) -> ThreeWeb:
@@ -260,12 +259,9 @@ def builtin_web(name: str) -> ThreeWeb:
     ``parallel``: x, y, x+y on [-2,2]^2;
     ``product``:  x, y, x*y on [1,2]^2.
     """
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise ConfigError(
-            f"unknown builtin web {name!r}; available: {', '.join(BUILTIN_WEB_NAMES)}"
-        ) from None
+    integrals, box, exclude, margin = builtin_spec(name)
+    domain = Domain(box, parse(exclude) if exclude is not None else None, margin)
+    return ThreeWeb.from_integrals(integrals, domain)
 
 
 def family_web(a: Expr | str, b: Expr | str, domain: Domain | None = None) -> ThreeWeb:
@@ -285,22 +281,13 @@ def family_web(a: Expr | str, b: Expr | str, domain: Domain | None = None) -> Th
             raise ConfigError(
                 f"family coefficient {label}(x) = {to_text(e)!r} mentions y"
             )
-    if domain is None:
-        domain = Domain(box=(-2.0, 2.0, -2.0, 2.0))
     u3 = BinOp(
         (-1, -1),
         "+",
         BinOp((-1, -1), "*", a, Var((-1, -1), 0)),
         BinOp((-1, -1), "*", b, Var((-1, -1), 1)),
     )
-    return ThreeWeb(
-        (
-            Foliation(parse("x"), "F1"),
-            Foliation(parse("y"), "F2"),
-            Foliation(u3, "F3"),
-        ),
-        domain,
-    )
+    return ThreeWeb.from_integrals(("x", "y", u3), domain or Domain())
 
 
 # ---------------------------------------------------------------------------

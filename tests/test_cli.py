@@ -753,3 +753,46 @@ class TestMoreCommandPaths:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "x+y"
+
+
+class TestVerifyTheoremWeb:
+    @pytest.mark.parametrize("name", ["parallel", "product"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_other_builtin_is_refused(self, tmp_path, capsys, name, source):
+        # the closed-form lines (c + ybar) exp(-c) describe the paper web only
+        argv = ["--builtin", name]
+        if source == "config":
+            p = tmp_path / "run.json"
+            p.write_text(json.dumps({"web": {"builtin": name}}))
+            argv = ["--config", str(p)]
+        assert main(["verify-theorem", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"builtin web '{name}'" in err and "verify-map" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_other_builtin_with_a_map_runs(self, tmp_path):
+        # with --map no closed form is scored: the run is verify-map's
+        small = ["--builtin", "parallel", "--map", "identity", "--seeds", "2", "--max-arc", "0.5"]
+        assert main(["verify-theorem", *small, "--out", str(tmp_path)]) == 0
+
+    def test_each_expression_is_compiled_once(self, tmp_path, monkeypatch):
+        real = triweb.kernels.compile_expr
+        compiled = []
+
+        def spy(e, source=None):
+            compiled.append(e if isinstance(e, str) else triweb.to_text(e))
+            return real(e, source)
+
+        for mod in list(sys.modules.values()):
+            if mod and mod.__name__.startswith("triweb") and getattr(mod, "compile_expr", None) is real:
+                monkeypatch.setattr(mod, "compile_expr", spy)
+        argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert sorted(compiled) == ["(x+y)*exp(-x)", "1-x-y", "x", "y"]
+
+
+class TestReadmeLibrary:
+    def test_library_block_runs(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})

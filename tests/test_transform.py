@@ -24,12 +24,18 @@ E_INV = math.exp(-1.0)  # 0.36787944117144233
 class TestMapConstruction:
     def test_linearizing_map_components(self, paper_web):
         m = linearizing_map(paper_web)
-        assert m.comp1 == paper_web.foliation(3).integral
-        assert to_text(m.comp2) == "y"
+        assert m.comp1 is paper_web.foliation(3)
+        assert m.comp2 is paper_web.foliation(2)
+        assert to_text(m.comp2.integral) == "y"
+
+    def test_linearizing_map_shares_the_webs_programs(self, paper_web):
+        p1, p2 = linearizing_map(paper_web).programs
+        assert p1 is paper_web.foliation(3).program
+        assert p2 is paper_web.foliation(2).program
 
     def test_shear_for_sum_web(self, parallel_web):
         m = linearizing_map(parallel_web)
-        assert to_text(m.comp1) == "x+y"
+        assert to_text(m.comp1.integral) == "x+y"
 
     def test_family_map(self):
         from triweb.web import family_web
@@ -98,7 +104,7 @@ class TestDiffeoReport:
         assert {(x, y) for x, y, _ in rep.failures} == locus
 
     def test_cubic_fold_fails_at_zero(self):
-        m = PlaneMap(parse("x^3"), parse("y"), name="cubic")
+        m = PlaneMap(Foliation(parse("x^3")), Foliation(parse("y")), name="cubic")
         rep = diffeo_report(m, Domain(box=(-1, 1, -1, 1)), grid=(5, 5))
         assert not rep.verdict
         assert {x for x, _, _ in rep.failures} == {0.0}

@@ -462,7 +462,8 @@ class TestStepperMatchesReference:
             Foliation(parse(text)).advance
         assert len(sources) == 5
         bound = {"def", "if", "return", "raise", "True", "advance", "abs", "hypot",
-                 "GradCollapse", "fail", "exp", "log", "sin", "cos", "sqrt", "inf", "nan"}
+                 "GradCollapse", "fail", "exp", "log", "sin", "cos", "sqrt", "inf", "nan",
+                 "while", "_"}
         generated = re.compile(r"[xy]|[gsp][xy]|h|level|[unr]|n2|t\d+[xy]|t\d+_\d+")
         for code in sources:
             assert code.count("= jet(") == 0
