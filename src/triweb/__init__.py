@@ -24,14 +24,12 @@ from .errors import (
 )
 from .expr import Expr, eval_value, parse, to_text
 from .jets import Jet3
-from .kernels import compile_expr, eval_jet3, gradient
+from .kernels import compile_expr, eval_jet3
 from .transform import (
     DiffeoReport,
     PlaneMap,
-    apply_map,
     diffeo_report,
     identity_map,
-    jacobian_det,
     linearizing_map,
     push_polyline,
 )

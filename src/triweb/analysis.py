@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
-from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .kernels import jet_coeffs
 from .web import DEFAULT_GRID, H_STEP, ThreeWeb, _GradCollapse, _walk, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
@@ -44,7 +44,19 @@ HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
 _LEG_PATTERN = ((3, 2), (1, 3), (2, 1), (3, 2), (1, 3), (2, 1))
 
 
-def _curvature_from_coeffs(fx, fy, fxx, fxy, fyy, fxxy, fxyy):
+def _curvature(prog, xs, ys, c) -> np.ndarray:
+    """K at the points (xs, ys) from the rows ``c`` of the web function's
+    order-3 jets there; raises naming the first point where f_x or f_y is
+    below DEGENERATE_EPS, since the formula divides by both."""
+    fx, fy, fxx, fxy, fyy, fxxy, fxyy = (c[:, k] for k in (1, 2, 3, 4, 5, 7, 8))
+    degen = np.flatnonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))
+    if degen.size:
+        i = int(degen[0])
+        raise EvalDomainError(
+            "degenerate direction: web-function partial below 1e-12",
+            prog.source,
+            (float(xs[i]), float(ys[i])),
+        )
     t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
     t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
     return (t1 - t2) / (fx * fy)
@@ -57,15 +69,10 @@ def blaschke_curvature(web: ThreeWeb, p) -> float:
             "curvature is defined for normal-form webs only; "
             "use hexagon_defect for general webs"
         )
-    c = jet_coeffs(web.web_function.program, p[0], p[1])
-    fx, fy = c[1], c[2]
-    if abs(fx) < DEGENERATE_EPS or abs(fy) < DEGENERATE_EPS:
-        raise EvalDomainError(
-            "degenerate direction: web-function partial below 1e-12",
-            web.web_function.program.source,
-            (p[0], p[1]),
-        )
-    return float(_curvature_from_coeffs(fx, fy, c[3], c[4], c[5], c[7], c[8]))
+    prog = web.web_function.program
+    x, y = float(p[0]), float(p[1])
+    c = np.array([jet_coeffs(prog, x, y)])
+    return float(_curvature(prog, [x], [y], c)[0])
 
 
 @dataclass(frozen=True)
@@ -106,25 +113,9 @@ def curvature_grid(
     degenerate directions, naming the point."""
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
-    nx, ny = grid
-    xs, ys = web.domain.grid(nx, ny)
-    mask = web.domain.admissible_mask(xs, ys)
-    xs, ys = xs[mask], ys[mask]
     prog = web.web_function.program
-    out = jet_coeffs_or_raise(prog, xs, ys)
-    fx, fy = out[:, 1], out[:, 2]
-    degen = np.nonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))[0]
-    if degen.size:
-        i = int(degen[0])
-        raise EvalDomainError(
-            "degenerate direction: web-function partial below 1e-12",
-            prog.source,
-            (float(xs[i]), float(ys[i])),
-        )
-    kappa = _curvature_from_coeffs(
-        fx, fy, out[:, 3], out[:, 4], out[:, 5], out[:, 7], out[:, 8]
-    )
-    return xs, ys, kappa
+    xs, ys, _, (c,) = web.domain.survey(grid, [prog], order=3)
+    return xs, ys, _curvature(prog, xs, ys, c)
 
 
 def parallelizability_report(

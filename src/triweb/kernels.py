@@ -7,14 +7,14 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
 be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
 and gradient, the first three slots, computed by the same expressions so
 they agree bit for bit).  Single points run on Python floats
-(:func:`jet_coeffs`) at either order, and ``Program.inline`` binds caller
-code with the order-1 body inlined at its own points; batches run the
-order-3 code on numpy arrays (:func:`jet_coeffs_many`).  All call numpy's
-elementary functions, so a batch row equals the single-point result bit
-for bit.  Every op checks its domain and the finiteness of the slots it
-computes: a point raises :class:`EvalDomainError` naming the op's source
-fragment, a batch records the first failing op per point.  Programs are
-immutable and all functions pure, so concurrent use needs no coordination.
+(:func:`jet_coeffs`) and batches on numpy arrays (:func:`jet_coeffs_many`),
+each at either order; ``Program.inline`` binds caller code with the
+order-1 body inlined at its own points.  All call numpy's elementary
+functions, so a batch row equals the single-point result bit for bit.
+Every op checks its domain and the finiteness of the slots it computes:
+a point raises :class:`EvalDomainError` naming the op's source fragment,
+a batch records the first failing op per point.  Programs are immutable
+and all functions pure, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ class Program:
     frags: tuple  # per-op source fragment, for error attribution
     source: str  # printable form of the whole expression
     at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
-    on_arrays: Callable = field(repr=False, compare=False)
+    on_arrays: dict = field(repr=False, compare=False)  # order -> jet(x, y, check)
     inline: Callable = field(repr=False, compare=False)  # (template, names, name) -> function
 
 
@@ -331,7 +331,10 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     point_names = dict(_POINT_NAMES, fail=fail)
     point_code = {em.order: em.render(result, hook=False) for em, result in zip(emitters, results)}
     at_point = {order: _bind(jet, point_names) for order, jet in point_code.items()}
-    on_arrays = _bind(emitters[-1].render(results[-1], hook=True), _ARRAY_NAMES)
+    on_arrays = {
+        em.order: _bind(em.render(result, hook=True), _ARRAY_NAMES)
+        for em, result in zip(emitters, results)
+    }
     source = source if source is not None else to_text(e)
     inline = partial(_inline, point_code[1], point_names)
     return Program(frags, source, at_point, on_arrays, inline)
@@ -354,28 +357,31 @@ def jet_coeffs(program: Program, x: float, y: float, order: int = 3) -> tuple:
     return program.at_point[order](float(x), float(y))
 
 
-def jet_coeffs_many(program: Program, xs, ys):
-    """Batch jets at many points.  Non-raising: returns (coeffs (n, 10),
+def jet_coeffs_many(program: Program, xs, ys, order: int = 3):
+    """Batch jets at many points, each row the slots :func:`jet_coeffs`
+    returns at ``order``.  Non-raising: returns (coeffs (n, 10) or (n, 3),
     codes (n,), opidx (n,)), code 0 marking successful points; the rows of
     failing points are undefined."""
     xs = np.ascontiguousarray(xs, dtype=np.float64).ravel()
     ys = np.ascontiguousarray(ys, dtype=np.float64).ravel()
-    out = np.empty((xs.size, JET_SIZE))
+    jet = program.on_arrays[order]
+    out = np.empty((xs.size, JET_SIZE if order == 3 else 3))
     codes = np.zeros(xs.size, dtype=np.int64)
     opidx = np.full(xs.size, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
         for lo in range(0, xs.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             check = partial(_record, codes[part], opidx[part])
-            for k, v in enumerate(program.on_arrays(xs[part], ys[part], check)):
+            for k, v in enumerate(jet(xs[part], ys[part], check)):
                 out[part, k] = v
     return out, codes, opidx
 
 
-def jet_coeffs_or_raise(program: Program, xs, ys) -> np.ndarray:
-    """Batch jets that must all succeed: the (n, 10) coefficients, or
-    :class:`EvalDomainError` naming the first failing point."""
-    out, codes, opidx = jet_coeffs_many(program, xs, ys)
+def jet_coeffs_or_raise(program: Program, xs, ys, order: int = 3) -> np.ndarray:
+    """Batch jets that must all succeed: the coefficients of
+    :func:`jet_coeffs_many`, or :class:`EvalDomainError` naming the first
+    failing point."""
+    out, codes, opidx = jet_coeffs_many(program, xs, ys, order)
     bad = np.flatnonzero(codes)
     if bad.size:
         i = int(bad[0])
@@ -393,11 +399,7 @@ def error_message(program: Program, code: int, at: int) -> str:
 
 
 def eval_jet3(e: Expr | str, point) -> Jet3:
-    """Value plus all partial derivatives through order 3 at a point."""
+    """Value plus all partial derivatives through order 3 at a point.  It
+    compiles ``e`` on every call: a one-shot helper, as for ``parse --at``;
+    compile once with :func:`compile_expr` to evaluate many points."""
     return Jet3(jet_coeffs(compile_expr(e), point[0], point[1]))
-
-
-def gradient(e: Expr | str, point) -> tuple[float, float]:
-    """(df/dx, df/dy) at a point, from the order-1 jet."""
-    _, fx, fy = jet_coeffs(compile_expr(e), point[0], point[1], order=1)
-    return fx, fy

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NormalFormError
 from .expr import parse
-from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .kernels import jet_coeffs_or_raise
 from .web import DEFAULT_GRID, Domain, Foliation, LeafPolyline, ThreeWeb
 
 DEFAULT_DIFFEO_TOL = 1e-6  # floor on |det J| at every admissible grid point
@@ -58,23 +58,6 @@ def linearizing_map(web: ThreeWeb) -> PlaneMap:
     return PlaneMap(web.foliation(3), web.foliation(2), "linearizing")
 
 
-def apply_map(m: PlaneMap, p) -> tuple[float, float]:
-    """Image of one point under the map."""
-    p1, p2 = m.programs
-    return (
-        jet_coeffs(p1, p[0], p[1], order=1)[0],
-        jet_coeffs(p2, p[0], p[1], order=1)[0],
-    )
-
-
-def jacobian_det(m: PlaneMap, p) -> float:
-    """Determinant of the Jacobian at a point, from first-order jets."""
-    p1, p2 = m.programs
-    c1 = jet_coeffs(p1, p[0], p[1], order=1)
-    c2 = jet_coeffs(p2, p[0], p[1], order=1)
-    return c1[1] * c2[2] - c1[2] * c2[1]
-
-
 @dataclass(frozen=True)
 class DiffeoReport:
     verdict: bool
@@ -107,13 +90,8 @@ def diffeo_report(
 ) -> DiffeoReport:
     """Grid certificate of local invertibility: |det J| >= threshold at
     every admissible grid point."""
-    nx, ny = grid
-    xs, ys = domain.grid(nx, ny)
-    mask = domain.admissible_mask(xs, ys)
-    xs, ys = xs[mask], ys[mask]
-
-    jac = [jet_coeffs_or_raise(prog, xs, ys)[:, 1:3] for prog in m.programs]
-    dets = jac[0][:, 0] * jac[1][:, 1] - jac[0][:, 1] * jac[1][:, 0]
+    xs, ys, _, (c1, c2) = domain.survey(grid, m.programs)
+    dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
 
     absdet = np.abs(dets)
     failing = np.nonzero(absdet < threshold)[0]
@@ -123,10 +101,10 @@ def diffeo_report(
     )
     return DiffeoReport(
         verdict=failing.size == 0,
-        min_abs_det=float(absdet.min()) if absdet.size else float("inf"),
+        min_abs_det=float(absdet.min()),
         failures=failures,
-        nx=nx,
-        ny=ny,
+        nx=grid[0],
+        ny=grid[1],
         n_admissible=int(xs.size),
         threshold=threshold,
     )
@@ -140,17 +118,6 @@ def push_polyline(m: PlaneMap, leaf: LeafPolyline) -> LeafPolyline:
     """
     xs = leaf.vertices[:, 0]
     ys = leaf.vertices[:, 1]
-    images = [jet_coeffs_or_raise(prog, xs, ys)[:, 0] for prog in m.programs]
+    images = [jet_coeffs_or_raise(prog, xs, ys, order=1)[:, 0] for prog in m.programs]
     vertices = np.column_stack(images)
-    if vertices.shape[0] > 1:
-        seg = np.hypot(np.diff(vertices[:, 0]), np.diff(vertices[:, 1]))
-        arcs = np.concatenate(([0.0], np.cumsum(seg)))
-    else:
-        arcs = np.zeros(vertices.shape[0])
-    return LeafPolyline(
-        foliation=leaf.foliation,
-        level=leaf.level,
-        vertices=vertices,
-        arcs=arcs,
-        flags=leaf.flags,
-    )
+    return LeafPolyline.from_vertices(leaf.foliation, leaf.level, vertices, leaf.flags)

@@ -106,6 +106,8 @@ class Domain:
 
     def __post_init__(self):
         xmin, xmax, ymin, ymax = self.box
+        if not all(math.isfinite(v) for v in self.box):
+            raise ConfigError(f"box edges must be finite, got {self.box}")
         if not (xmin < xmax and ymin < ymax):
             raise ConfigError(f"degenerate box {self.box}")
         if not 0 <= self.margin < math.inf:
@@ -135,19 +137,31 @@ class Domain:
         xmin, xmax, ymin, ymax = self.box
         mask = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
         if self._exclude_program is not None:
-            out, codes, _ = jet_coeffs_many(self._exclude_program, xs, ys)
+            out, codes, _ = jet_coeffs_many(self._exclude_program, xs, ys, order=1)
             mask &= (codes == ERR_OK) & (np.abs(out[:, 0]) >= self.margin)
         return mask
 
-    def grid(self, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened grid coordinates, x varying fastest."""
+    def survey(self, grid: tuple[int, int], programs, order: int = 1):
+        """The admissible points of the nx x ny grid over the box, x varying
+        fastest, and each program's batch jets at ``order`` there.
+
+        Returns (xs, ys, n_total, jets), ``n_total`` counting every grid
+        point and ``jets`` holding one row per admissible point for each
+        program.  Raises :class:`ConfigError` for a grid under 2x2 or one
+        with no admissible point, and :class:`EvalDomainError` naming the
+        first point where a jet fails.
+        """
+        nx, ny = grid
         if nx < 2 or ny < 2:
             raise ConfigError(f"grid must be at least 2x2, got {nx}x{ny}")
         xmin, xmax, ymin, ymax = self.box
-        gx = np.linspace(xmin, xmax, nx)
-        gy = np.linspace(ymin, ymax, ny)
-        xx, yy = np.meshgrid(gx, gy)
-        return xx.ravel(), yy.ravel()
+        xx, yy = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
+        xs, ys = xx.ravel(), yy.ravel()
+        mask = self.admissible_mask(xs, ys)
+        xs, ys = xs[mask], ys[mask]
+        if xs.size == 0:
+            raise ConfigError("no admissible grid points in domain")
+        return xs, ys, mask.size, [jet_coeffs_or_raise(p, xs, ys, order) for p in programs]
 
     def with_margin(self, margin: float) -> "Domain":
         return replace(self, margin=margin)
@@ -328,28 +342,14 @@ class GeneralPositionReport:
         }
 
 
-def _grads_on_grid(web: ThreeWeb, xs, ys):
-    """Gradients of all three integrals at given points; raises with point
-    attribution on any evaluation failure."""
-    return [jet_coeffs_or_raise(fol.program, xs, ys)[:, 1:3] for fol in web.foliations]
-
-
 def general_position_report(
     web: ThreeWeb,
     grid: tuple[int, int] = DEFAULT_GRID,
 ) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
     three foliations at every admissible grid point."""
-    nx, ny = grid
-    xs, ys = web.domain.grid(nx, ny)
-    mask = web.domain.admissible_mask(xs, ys)
-    xs, ys = xs[mask], ys[mask]
-    n_total = int(mask.size)
-    n_adm = int(xs.size)
-    if n_adm == 0:
-        raise ConfigError("no admissible grid points in domain")
-
-    g1, g2, g3 = _grads_on_grid(web, xs, ys)
+    xs, ys, n_total, jets = web.domain.survey(grid, [fol.program for fol in web.foliations])
+    g1, g2, g3 = (jet[:, 1:] for jet in jets)
     failures: list[GridFailure] = []
 
     for idx, g in enumerate((g1, g2, g3), start=1):
@@ -375,9 +375,9 @@ def general_position_report(
         verdict=not failures,
         min_pairwise_det=min_det,
         failures=tuple(failures),
-        nx=nx,
-        ny=ny,
-        n_admissible=n_adm,
+        nx=grid[0],
+        ny=grid[1],
+        n_admissible=int(xs.size),
         n_total=n_total,
     )
 
@@ -407,6 +407,12 @@ class LeafPolyline:
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
+
+    @classmethod
+    def from_vertices(cls, foliation: int, level: float, vertices, flags=()) -> "LeafPolyline":
+        """The polyline through ``vertices``, its arc lengths summed from them."""
+        seg = np.hypot(np.diff(vertices[:, 0]), np.diff(vertices[:, 1]))
+        return cls(foliation, level, vertices, np.concatenate(([0.0], np.cumsum(seg))), flags)
 
 
 def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, stop=None):
@@ -477,25 +483,12 @@ def trace_leaf(
         bwd, flag_b, _ = _walk(*walk, itertools.repeat(-H_STEP, n_steps), domain)
 
     pts = list(reversed(bwd)) + [(x0, y0)] + fwd
-    vertices = np.array(pts, dtype=float)
-    if len(pts) > 1:
-        seg = np.hypot(np.diff(vertices[:, 0]), np.diff(vertices[:, 1]))
-        arcs = np.concatenate(([0.0], np.cumsum(seg)))
-    else:
-        arcs = np.zeros(1)
-
     flags = [
         flag if flag == "closed" else f"{direction}:{flag}"
         for direction, flag in (("backward", flag_b), ("forward", flag_f))
         if flag not in (None, "boundary")
     ]
-    return LeafPolyline(
-        foliation=fol_index,
-        level=level,
-        vertices=vertices,
-        arcs=arcs,
-        flags=tuple(flags),
-    )
+    return LeafPolyline.from_vertices(fol_index, level, np.array(pts, dtype=float), tuple(flags))
 
 
 _WALK_ERRORS = {

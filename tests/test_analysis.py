@@ -90,6 +90,12 @@ class TestCurvatureValues:
         rel = np.abs(kappa - ref) / np.abs(ref)
         assert rel.max() <= 1e-10
 
+    def test_point_equals_grid_bit_for_bit(self, paper_web):
+        xs, ys, kappa = curvature_grid(paper_web)
+        assert xs.size == 1650
+        point = [blaschke_curvature(paper_web, p) for p in zip(xs, ys)]
+        assert np.array_equal(point, kappa)
+
     def test_against_value_only_fd(self, paper_web):
         rng = np.random.default_rng(42)
         count = 0

@@ -192,6 +192,24 @@ class TestDeterminism:
             f_out / "report.json"
         ).read_bytes()
 
+    # report.json of five runs, kept in tests/golden; report floats are
+    # rounded to 9 digits, so last-ulp differences between CPUs vanish
+    @pytest.mark.parametrize(
+        "golden, argv, code",
+        [
+            ("verify-theorem", ["verify-theorem"], 0),
+            ("verify-map-paper-x-y", ["verify-map", "--builtin", "paper", "--map", "x", "y"], 1),
+            ("family-1+x-exp", ["family", "--a", "1+x", "--b", "exp(x)"], 1),
+            ("analyze-paper-grid-101",
+             ["analyze", "--builtin", "paper", "--grid", "101", "101"], 0),
+            ("analyze-product", ["analyze", "--builtin", "product"], 0),
+        ],
+    )
+    def test_report_matches_golden(self, tmp_path, golden, argv, code):
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        want = (ROOT / "tests" / "golden" / f"{golden}.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == want
+
 
 class TestAnalyze:
     def test_paper(self, tmp_path, capsys):
@@ -554,6 +572,16 @@ class TestNonFiniteSettings:
         assert name in err and "finite" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_non_finite_config_box_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"  # Python's json reads Infinity
+        cfg.write_text('{"domain": {"box": [-Infinity, 1, 0, 1]}}')
+        out = tmp_path / "out"
+        argv = ["analyze", "--builtin", "parallel", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "box" in err and "finite" in err
+        assert not out.exists()
+
 
 class TestTruncationFlags:
     def test_domain_exit_reaches_report_and_summary(self, tmp_path, capsys):
@@ -789,6 +817,42 @@ class TestVerifyTheoremWeb:
         argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
         assert main(argv) == 0
         assert sorted(compiled) == ["(x+y)*exp(-x)", "1-x-y", "x", "y"]
+
+
+class TestJetOrders:
+    """Each report reads the jet order it uses: order 1 for general
+    position, the diffeomorphism grid, push-forward and admissibility,
+    order 3 only for the curvature grid."""
+
+    def orders(self, monkeypatch, argv):
+        """(function, order, called from curvature_grid) of every jet call."""
+        calls = []
+        for name in ("jet_coeffs", "jet_coeffs_many"):
+            real = getattr(triweb.kernels, name)
+
+            def spy(program, x, y, order=3, real=real, name=name):
+                frame, stack = sys._getframe(1), set()
+                while frame is not None:
+                    stack.add(frame.f_code.co_name)
+                    frame = frame.f_back
+                calls.append((name, order, "curvature_grid" in stack))
+                return real(program, x, y, order)
+
+            for mod in list(sys.modules.values()):
+                if mod and mod.__name__.startswith("triweb") and getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, spy)
+        assert main(argv) == 0
+        return calls
+
+    def test_verify_theorem_reads_order_1_only(self, tmp_path, monkeypatch):
+        argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
+        calls = self.orders(monkeypatch, argv)
+        assert {order for _, order, _ in calls} == {1}
+        assert {name for name, _, _ in calls} == {"jet_coeffs", "jet_coeffs_many"}
+
+    def test_analyze_reads_order_3_once_for_curvature(self, tmp_path, monkeypatch):
+        calls = self.orders(monkeypatch, ["analyze", "--builtin", "paper", "--out", str(tmp_path)])
+        assert [c for c in calls if c[1] != 1] == [("jet_coeffs_many", 3, True)]
 
 
 class TestReadmeLibrary:

@@ -27,7 +27,6 @@ from triweb.kernels import (
     compile_expr,
     error_message,
     eval_jet3,
-    gradient,
     jet_coeffs,
     jet_coeffs_many,
 )
@@ -66,6 +65,11 @@ class TestHandValues:
 
     def test_web_function_fd_crosscheck(self):
         assert_jet_matches_fd(parse(WEB_FN), (0.0, 0.0))
+
+
+def gradient(text, point):
+    """(df/dx, df/dy) at a point, from the order-1 jet."""
+    return jet_coeffs(compile_expr(text), *point, order=1)[1:]
 
 
 class TestGradient:
@@ -266,8 +270,12 @@ class TestOrderOne:
         assert jet_coeffs(prog, 1e-300, 0.0, order=1) == (1e-150, 5e149, 0.0)
 
     def test_gradient_is_order_1(self):
+        # a batch gradient is order 1 too: it succeeds where order 3 overflows
         prog = compile_expr("sqrt(x)*y")
-        assert gradient("sqrt(x)*y", (1e-300, 2.0)) == jet_coeffs(prog, 1e-300, 2.0, order=1)[1:]
+        out, codes, _ = jet_coeffs_many(prog, [1e-300], [2.0], order=1)
+        assert not codes.any()
+        assert tuple(out[0]) == jet_coeffs(prog, 1e-300, 2.0, order=1)
+        assert jet_coeffs_many(prog, [1e-300], [2.0])[1][0] != 0
 
 
 class TestBatch:
@@ -275,35 +283,45 @@ class TestBatch:
         prog = compile_expr(parse(WEB_FN))
         xs = np.linspace(-1.5, 1.5, 23)
         ys = np.linspace(1.5, -1.5, 23)
-        out, codes, _ = jet_coeffs_many(prog, xs, ys)
-        assert not codes.any()
-        for i in range(xs.size):
-            single = jet_coeffs(prog, xs[i], ys[i])
-            assert np.array_equal(out[i], single)
+        rows = {}
+        for order in (1, 3):
+            out, codes, _ = jet_coeffs_many(prog, xs, ys, order)
+            assert not codes.any()
+            assert out.shape == (xs.size, 3 if order == 1 else JET_SIZE)
+            for i in range(xs.size):
+                single = jet_coeffs(prog, xs[i], ys[i], order)
+                assert np.array_equal(out[i], single)
+            rows[order] = out
+        # order 1 computes the first three order-3 slots by the same code
+        assert np.array_equal(rows[1], rows[3][:, :3])
 
     def test_batch_error_codes_per_point(self):
         prog = compile_expr(parse("ln(x)"))
         xs = np.array([1.0, -1.0, 2.0])
         ys = np.zeros(3)
-        out, codes, opidx = jet_coeffs_many(prog, xs, ys)
-        assert list(codes != 0) == [False, True, False]
-        assert opidx[1] >= 0
-        assert np.isfinite(out[0]).all() and np.isfinite(out[2]).all()
-        # each batch code and fragment matches the single-point error
+        for order in (1, 3):
+            out, codes, opidx = jet_coeffs_many(prog, xs, ys, order)
+            assert list(codes != 0) == [False, True, False]
+            assert opidx[1] >= 0
+            assert np.isfinite(out[0]).all() and np.isfinite(out[2]).all()
+        # each batch code, op and row matches the single point at its order
         cases = [
             ("sqrt(1-x*x-y*y)", [0.0, 2.0, 0.5], [0.0, 0.0, 3.0]),
             ("1/(x-1)", [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]),
             ("1/exp(1000*x)", [1.0, 0.0, -1.0], [0.0, 0.0, 0.0]),
+            ("sqrt(x)", [1e-300, -1.0, 4.0], [0.0, 0.0, 0.0]),
         ]
         for text, xs, ys in cases:
             prog = compile_expr(text)
-            out, codes, opidx = jet_coeffs_many(prog, xs, ys)
-            for i, point in enumerate(zip(xs, ys)):
-                try:
-                    single = jet_coeffs(prog, *point)
-                except EvalDomainError as exc:
-                    assert codes[i] != 0, (text, point)
-                    message = error_message(prog, codes[i], opidx[i])
-                    assert str(exc).startswith(f"{message} at point"), (text, point)
-                else:
-                    assert codes[i] == 0 and np.array_equal(out[i], single), (text, point)
+            for order in (1, 3):
+                out, codes, opidx = jet_coeffs_many(prog, xs, ys, order)
+                for i, point in enumerate(zip(xs, ys)):
+                    case = (text, order, point)
+                    try:
+                        single = jet_coeffs(prog, *point, order)
+                    except EvalDomainError as exc:
+                        assert codes[i] != 0, case
+                        message = error_message(prog, codes[i], opidx[i])
+                        assert str(exc).startswith(f"{message} at point"), case
+                    else:
+                        assert codes[i] == 0 and np.array_equal(out[i], single), case

@@ -9,16 +9,27 @@ from triweb.errors import NormalFormError
 from triweb.expr import parse, to_text
 from triweb.transform import (
     PlaneMap,
-    apply_map,
     diffeo_report,
     identity_map,
-    jacobian_det,
     linearizing_map,
     push_polyline,
 )
-from triweb.web import Domain, Foliation, ThreeWeb, trace_leaf
+from triweb.web import Domain, Foliation, LeafPolyline, ThreeWeb, trace_leaf
 
 E_INV = math.exp(-1.0)  # 0.36787944117144233
+
+
+def apply_map(m, p):
+    """Image of one point, pushed forward as a one-vertex polyline."""
+    leaf = LeafPolyline(0, 0.0, np.array([p], dtype=float), np.zeros(1))
+    return tuple(push_polyline(m, leaf).vertices[0])
+
+
+def grid_dets(m, box, grid=(2, 2)):
+    """{(x, y): det J} at every point of a grid over ``box``: under an
+    infinite threshold diffeo_report lists every point as failing."""
+    rep = diffeo_report(m, Domain(box=box), grid=grid, threshold=math.inf)
+    return {(x, y): det for x, y, det in rep.failures}
 
 
 class TestMapConstruction:
@@ -67,24 +78,23 @@ class TestApplyAndJacobian:
         assert apply_map(identity_map(), (3.0, -2.0)) == (3.0, -2.0)
 
     def test_jacobian_at_origin(self, paper_web):
-        assert jacobian_det(linearizing_map(paper_web), (0.0, 0.0)) == 1.0
+        assert grid_dets(linearizing_map(paper_web), (0, 1, 0, 1))[(0.0, 0.0)] == 1.0
 
     def test_jacobian_vanishes_on_locus(self, paper_web):
-        m = linearizing_map(paper_web)
-        assert jacobian_det(m, (0.5, 0.5)) == 0.0
-        assert jacobian_det(m, (-0.25, 1.25)) == 0.0
+        dets = grid_dets(linearizing_map(paper_web), (-0.25, 0.5, 0.5, 1.25))
+        assert dets[(0.5, 0.5)] == 0.0
+        assert dets[(-0.25, 1.25)] == 0.0
 
     def test_identity_jacobian(self):
-        assert jacobian_det(identity_map(), (17.0, -4.0)) == 1.0
+        assert set(grid_dets(identity_map(), (17, 18, -4, -3)).values()) == {1.0}
 
     def test_jacobian_equals_fx_structurally(self, paper_web):
         # for (f, y) the determinant reduces to df/dx exactly
         m = linearizing_map(paper_web)
         f = paper_web.foliation(3)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            p = tuple(rng.uniform(-1.5, 1.5, 2))
-            det = jacobian_det(m, p)
+        dets = grid_dets(m, (-1.5, 1.5, -1.5, 1.5), (5, 4))
+        assert len(dets) == 20
+        for p, det in dets.items():
             fx = f.grad(p)[0]
             assert det == pytest.approx(fx, rel=1e-12, abs=1e-300)
 

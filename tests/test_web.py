@@ -20,7 +20,9 @@ import triweb.kernels
 from conftest import overlap_hausdorff
 from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
+from triweb.analysis import parallelizability_report
 from triweb.kernels import jet_coeffs
+from triweb.transform import diffeo_report, identity_map
 from triweb.web import (
     EPS_GRAD,
     H_MAX,
@@ -60,15 +62,26 @@ class TestDomain:
         with pytest.raises(ConfigError):
             Domain(box=(0, 1, 0, 1), margin=-0.1)
 
+    def test_non_finite_box_rejected(self):
+        for box in ((-math.inf, 1, 0, 1), (0, 1, 0, math.inf), (0, math.nan, 0, 1)):
+            with pytest.raises(ConfigError):
+                Domain(box=box)
+
     def test_grid_requires_2x2(self):
         with pytest.raises(ConfigError):
-            Domain().grid(1, 5)
+            Domain().survey((1, 5), [])
 
     def test_mask_matches_pointwise(self, paper_web):
-        xs, ys = paper_web.domain.grid(11, 11)
-        mask = paper_web.domain.admissible_mask(xs, ys)
+        d = paper_web.domain
+        xx, yy = np.meshgrid(np.linspace(-2, 2, 11), np.linspace(-2, 2, 11))
+        xs, ys = xx.ravel(), yy.ravel()
+        mask = d.admissible_mask(xs, ys)
         for i in range(xs.size):
-            assert mask[i] == paper_web.domain.admissible((xs[i], ys[i]))
+            assert mask[i] == d.admissible((xs[i], ys[i]))
+        # the survey keeps exactly these points, x varying fastest
+        sx, sy, n_total, jets = d.survey((11, 11), [])
+        assert n_total == 121 and jets == []
+        assert np.array_equal(sx, xs[mask]) and np.array_equal(sy, ys[mask])
 
     def test_unevaluable_exclusion_means_inadmissible(self):
         # ln(x) cannot be evaluated for x <= 0: those points drop out
@@ -177,6 +190,18 @@ class TestGeneralPosition:
         )
         with pytest.raises(Exception, match="ln"):
             general_position_report(w, grid=(5, 5))
+
+    def test_empty_admissible_grid_is_config_error(self):
+        # |1| < 2 everywhere: no point of the box is admissible
+        w = ThreeWeb.from_integrals(("x", "y", "x+y"), Domain((0, 1, 0, 1), parse("1"), 2.0))
+        reports = (
+            lambda: general_position_report(w),
+            lambda: diffeo_report(identity_map(), w.domain),
+            lambda: parallelizability_report(w),
+        )
+        for report in reports:
+            with pytest.raises(ConfigError, match="no admissible grid points"):
+                report()
 
 
 class TestTraceLeaf:
