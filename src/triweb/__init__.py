@@ -52,6 +52,7 @@ from .web import (
     Foliation,
     GeneralPositionReport,
     LeafPolyline,
+    Survey,
     ThreeWeb,
     builtin_web,
     family_web,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
 from .kernels import jet_coeffs
-from .web import DEFAULT_GRID, H_STEP, ThreeWeb, _GradCollapse, _walk, _walk_arc
+from .web import H_STEP, Survey, ThreeWeb, _GradCollapse, _walk, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
@@ -105,35 +105,30 @@ class ParallelizabilityReport:
         }
 
 
-def curvature_grid(
-    web: ThreeWeb,
-    grid: tuple[int, int] = DEFAULT_GRID,
-):
-    """K at every admissible grid point; raises on evaluation failures or
-    degenerate directions, naming the point."""
+def curvature_grid(web: ThreeWeb, survey: Survey):
+    """(xs, ys, K) at every point of ``survey``; raises on evaluation
+    failures or degenerate directions, naming the point."""
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
     prog = web.web_function.program
-    xs, ys, _, (c,) = web.domain.survey(grid, [prog], order=3)
-    return xs, ys, _curvature(prog, xs, ys, c)
+    (c,) = survey.jets([prog], order=3)
+    return survey.xs, survey.ys, _curvature(prog, survey.xs, survey.ys, c)
 
 
 def parallelizability_report(
-    web: ThreeWeb,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    tol: float = 1e-8,
+    web: ThreeWeb, survey: Survey, tol: float = 1e-8
 ) -> ParallelizabilityReport:
-    """Verdict "parallelizable" iff max |K| over the admissible grid is
-    within tol of zero."""
-    xs, ys, kappa = curvature_grid(web, grid=grid)
+    """Verdict "parallelizable" iff max |K| over ``survey`` is within tol
+    of zero."""
+    xs, ys, kappa = curvature_grid(web, survey)
     absk = np.abs(kappa)
     return ParallelizabilityReport(
         parallelizable=bool(absk.max() <= tol),
         max_abs_curvature=float(absk.max()),
         min_abs_curvature=float(absk.min()),
         tol=tol,
-        nx=grid[0],
-        ny=grid[1],
+        nx=survey.nx,
+        ny=survey.ny,
         xs=xs,
         ys=ys,
         kappa=np.asarray(kappa),

@@ -399,8 +399,9 @@ def _cmd_parse(args) -> int:
 def _cmd_analyze(args) -> int:
     cfg = _config_from_sources(args)
     web = cfg.build_web()
-    gp = general_position_report(web, grid=cfg.grid)
-    rep = parallelizability_report(web, grid=cfg.grid, tol=cfg.tol_curvature)
+    survey = web.domain.survey(cfg.grid)
+    gp = general_position_report(web, survey)
+    rep = parallelizability_report(web, survey, tol=cfg.tol_curvature)
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_curvature_csv(cfg.out / "curvature.csv", rep.xs, rep.ys, rep.kappa)
     dump_json(

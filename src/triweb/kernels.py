@@ -386,16 +386,11 @@ def jet_coeffs_or_raise(program: Program, xs, ys, order: int = 3) -> np.ndarray:
     if bad.size:
         i = int(bad[0])
         raise EvalDomainError(
-            error_message(program, int(codes[i]), int(opidx[i])),
-            program.source,
+            _ERR_TEXT[int(codes[i])],
+            program.frags[int(opidx[i])],
             (float(np.ravel(xs)[i]), float(np.ravel(ys)[i])),
         )
     return out
-
-
-def error_message(program: Program, code: int, at: int) -> str:
-    frag = program.frags[at] if 0 <= at < len(program.frags) else program.source
-    return f"{_ERR_TEXT.get(int(code), 'evaluation error')} in {frag!r}"
 
 
 def eval_jet3(e: Expr | str, point) -> Jet3:

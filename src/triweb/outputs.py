@@ -30,9 +30,6 @@ LEAF_IMAGE_HEADER = "foliation,level,arc,x,y,image"
 CURVATURE_HEADER = "x,y,K"
 HEXAGON_LEGS_HEADER = "leg,x,y"
 DEFECT_TABLE_HEADER = "r,defect"
-# curvature rows turned into Python floats per pass: converting a 500x500
-# grid in one piece left the process about 7 MiB larger after repeated runs
-_CSV_CHUNK_ROWS = 16384
 
 SVG_WIDTH = 640.0  # pixels
 # fixed stroke palette per foliation (1-based)
@@ -104,10 +101,27 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
 
 
 def write_curvature_csv(path: Path | str, xs, ys, kappa) -> None:
-    """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays."""
-    table, n = np.column_stack((xs, ys, kappa)), _CSV_CHUNK_ROWS
-    chunks = (table[i : i + n] for i in range(0, len(table), n))
-    _write_csv(path, CURVATURE_HEADER, (("", chunk, "") for chunk in chunks))
+    """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays.
+
+    Grid rows arrive one y at a time, so each run of bit-equal ``ys`` is
+    written by one ``%`` on a template holding that y's text; each
+    distinct x is formatted once.  Every field is in the form of ``fmt``.
+    """
+    xs, ys, kappa = (np.ascontiguousarray(a, dtype=float).ravel() for a in (xs, ys, kappa))
+    if not len(xs) == len(ys) == len(kappa):
+        raise ValueError(f"column lengths differ: {len(xs)}, {len(ys)}, {len(kappa)}")
+    ux, ix = np.unique(xs.view(np.int64), return_inverse=True)  # bits: -0.0 is not 0.0
+    xtext = [fmt(v) for v in ux.view(float).tolist()]
+    yb = ys.view(np.int64)
+    cuts = (np.flatnonzero(yb[1:] != yb[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(ys)] if len(ys) else []
+    with Path(path).open("w") as f:
+        f.write(CURVATURE_HEADER + "\n")
+        for s, e in zip(bounds, bounds[1:]):
+            fields = [None] * (2 * (e - s))
+            fields[::2] = [xtext[i] for i in ix[s:e].tolist()]
+            fields[1::2] = kappa[s:e].tolist()
+            f.write(("%s," + fmt(ys[s]) + f",%.{CSV_FLOAT_DIGITS}g\n") * (e - s) % tuple(fields))
 
 
 def write_hexagon_legs_csv(path: Path | str, figure: HexagonFigure) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NormalFormError
 from .expr import parse
 from .kernels import jet_coeffs_or_raise
-from .web import DEFAULT_GRID, Domain, Foliation, LeafPolyline, ThreeWeb
+from .web import Foliation, LeafPolyline, Survey, ThreeWeb
 
 DEFAULT_DIFFEO_TOL = 1e-6  # floor on |det J| at every admissible grid point
 
@@ -83,14 +83,12 @@ class DiffeoReport:
 
 
 def diffeo_report(
-    m: PlaneMap,
-    domain: Domain,
-    grid: tuple[int, int] = DEFAULT_GRID,
-    threshold: float = DEFAULT_DIFFEO_TOL,
+    m: PlaneMap, survey: Survey, threshold: float = DEFAULT_DIFFEO_TOL
 ) -> DiffeoReport:
     """Grid certificate of local invertibility: |det J| >= threshold at
-    every admissible grid point."""
-    xs, ys, _, (c1, c2) = domain.survey(grid, m.programs)
+    every point of ``survey``."""
+    xs, ys = survey.xs, survey.ys
+    c1, c2 = survey.jets(m.programs)
     dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
 
     absdet = np.abs(dets)
@@ -103,8 +101,8 @@ def diffeo_report(
         verdict=failing.size == 0,
         min_abs_det=float(absdet.min()),
         failures=failures,
-        nx=grid[0],
-        ny=grid[1],
+        nx=survey.nx,
+        ny=survey.ny,
         n_admissible=int(xs.size),
         threshold=threshold,
     )

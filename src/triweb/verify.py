@@ -286,11 +286,15 @@ def foliation_linearity(
     seeds=None,
     tol: float = DEFAULT_LINEARITY_TOL,
     max_arc: float = DEFAULT_MAX_ARC,
+    components=None,
 ) -> LinearityReport:
     """Trace the leaf through each seed, push it through ``m`` (identity
-    when None), and score collinearity per leaf."""
+    when None), and score collinearity per leaf.  ``components`` gives
+    each seed's side of the excluded locus, computed when None."""
     if seeds is None:
         seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS)
+    if components is None:
+        components = tuple(_seed_component(web.domain, seed) for seed in seeds)
     leaves = []
     for seed in seeds:
         pre = _trace_one(web, fol_index, seed, max_arc)
@@ -309,7 +313,7 @@ def foliation_linearity(
         map_name=m.name if m is not None else "identity",
         seeds=tuple(seeds),
         levels=tuple(pre.level for pre, _ in leaves),
-        components=tuple(_seed_component(web.domain, seed) for seed in seeds),
+        components=tuple(components),
         residuals=tuple(residuals),
         max_residual=float(max_res),
         tol=tol,
@@ -352,10 +356,14 @@ def verify_map(
     per-foliation straightness; with ``line_formula(c, ybar)``, also that
     the image of each first-foliation leaf of level c lies within
     ``line_tol`` of xbar = line_formula(c, ybar)."""
-    gp = general_position_report(web, grid=grid)
-    dif = diffeo_report(m, web.domain, grid=grid, threshold=diffeo_tol)
+    survey = web.domain.survey(grid)
+    gp = general_position_report(web, survey)
+    dif = diffeo_report(m, survey, threshold=diffeo_tol)
     seeds = diagonal_seeds(web.domain, seeds_per_foliation)
-    fol_reports = tuple(foliation_linearity(web, i, m, seeds, tol, max_arc) for i in (1, 2, 3))
+    components = tuple(_seed_component(web.domain, seed) for seed in seeds)
+    fol_reports = tuple(
+        foliation_linearity(web, i, m, seeds, tol, max_arc, components) for i in (1, 2, 3)
+    )
 
     line_check = None
     if line_formula is not None:

@@ -92,6 +92,23 @@ _ADVANCE_NAMES = {"hypot": math.hypot, "GradCollapse": _GradCollapse}
 
 
 @dataclass(frozen=True)
+class Survey:
+    """The admissible points of an nx x ny grid over a domain's box, x
+    varying fastest; ``n_total`` counts every grid point."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    n_total: int
+    nx: int
+    ny: int
+
+    def jets(self, programs, order: int = 1) -> list[np.ndarray]:
+        """Each program's batch jets at ``order``, one row per point; raises
+        :class:`EvalDomainError` naming the first point where one fails."""
+        return [jet_coeffs_or_raise(p, self.xs, self.ys, order) for p in programs]
+
+
+@dataclass(frozen=True)
 class Domain:
     """Axis-aligned box, optionally minus a band around the zero set of an
     exclusion expression g: points with |g(p)| < margin are inadmissible.
@@ -141,16 +158,10 @@ class Domain:
             mask &= (codes == ERR_OK) & (np.abs(out[:, 0]) >= self.margin)
         return mask
 
-    def survey(self, grid: tuple[int, int], programs, order: int = 1):
-        """The admissible points of the nx x ny grid over the box, x varying
-        fastest, and each program's batch jets at ``order`` there.
-
-        Returns (xs, ys, n_total, jets), ``n_total`` counting every grid
-        point and ``jets`` holding one row per admissible point for each
-        program.  Raises :class:`ConfigError` for a grid under 2x2 or one
-        with no admissible point, and :class:`EvalDomainError` naming the
-        first point where a jet fails.
-        """
+    def survey(self, grid: tuple[int, int]) -> Survey:
+        """The admissible points of the nx x ny grid over the box.  Raises
+        :class:`ConfigError` for a grid under 2x2 or one with no admissible
+        point."""
         nx, ny = grid
         if nx < 2 or ny < 2:
             raise ConfigError(f"grid must be at least 2x2, got {nx}x{ny}")
@@ -158,10 +169,9 @@ class Domain:
         xx, yy = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
         xs, ys = xx.ravel(), yy.ravel()
         mask = self.admissible_mask(xs, ys)
-        xs, ys = xs[mask], ys[mask]
-        if xs.size == 0:
+        if not mask.any():
             raise ConfigError("no admissible grid points in domain")
-        return xs, ys, mask.size, [jet_coeffs_or_raise(p, xs, ys, order) for p in programs]
+        return Survey(xs[mask], ys[mask], mask.size, nx, ny)
 
     def with_margin(self, margin: float) -> "Domain":
         return replace(self, margin=margin)
@@ -342,14 +352,11 @@ class GeneralPositionReport:
         }
 
 
-def general_position_report(
-    web: ThreeWeb,
-    grid: tuple[int, int] = DEFAULT_GRID,
-) -> GeneralPositionReport:
+def general_position_report(web: ThreeWeb, survey: Survey) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
-    three foliations at every admissible grid point."""
-    xs, ys, n_total, jets = web.domain.survey(grid, [fol.program for fol in web.foliations])
-    g1, g2, g3 = (jet[:, 1:] for jet in jets)
+    three foliations at every point of ``survey``."""
+    xs, ys = survey.xs, survey.ys
+    g1, g2, g3 = (jet[:, 1:] for jet in survey.jets([fol.program for fol in web.foliations]))
     failures: list[GridFailure] = []
 
     for idx, g in enumerate((g1, g2, g3), start=1):
@@ -375,10 +382,10 @@ def general_position_report(
         verdict=not failures,
         min_pairwise_det=min_det,
         failures=tuple(failures),
-        nx=grid[0],
-        ny=grid[1],
+        nx=survey.nx,
+        ny=survey.ny,
         n_admissible=int(xs.size),
-        n_total=n_total,
+        n_total=survey.n_total,
     )
 
 

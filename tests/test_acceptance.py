@@ -22,7 +22,7 @@ from triweb.analysis import curvature_grid, hexagon_defect, parallelizability_re
 from triweb.cli import main
 from triweb.errors import HexagonError
 from triweb.transform import diffeo_report, linearizing_map, push_polyline
-from triweb.web import ThreeWeb, general_position_report, trace_leaf
+from triweb.web import DEFAULT_GRID, ThreeWeb, general_position_report, trace_leaf
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> bool:
@@ -119,7 +119,7 @@ def test_criterion_4_family(tmp_path):
 
 
 def test_criterion_5a_curvature_closed_form(paper_web):
-    xs, ys, kappa = curvature_grid(paper_web)
+    xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
     ref = -np.exp(2.0 * xs) / (1.0 - xs - ys) ** 3
     rel = float((np.abs(kappa - ref) / np.abs(ref)).max())
     ok = rel <= 1e-10
@@ -135,7 +135,7 @@ def test_criterion_5b_curvature_magnitude_floor(paper_web):
     Not attainable there (see module docstring); kept as required and
     expected to fail with the true minimum near 1.47e-4.
     """
-    rep = parallelizability_report(paper_web)
+    rep = parallelizability_report(paper_web, paper_web.domain.survey(DEFAULT_GRID))
     ok = rep.min_abs_curvature >= 0.018
     _verdict(
         "5b (curvature magnitude floor)",
@@ -182,7 +182,8 @@ def test_criterion_6_oracle_agreement(oracle_webs):
     disagreements = []
     details = []
     for idx, (name, web, inset) in enumerate(oracle_webs):
-        flat = parallelizability_report(web).max_abs_curvature <= 1e-8
+        rep = parallelizability_report(web, web.domain.survey(DEFAULT_GRID))
+        flat = rep.max_abs_curvature <= 1e-8
         centers = _sample_centers(web, inset, n=5, radius=radius, seed=1000 + idx)
         for p, defect in centers:
             if (defect <= 1e-7) != flat:
@@ -221,8 +222,9 @@ def test_criterion_8_degeneracy_localization(paper_web):
         for x in np.linspace(-2, 2, grid[0])
         if -2.0 <= 1.0 - x <= 2.0
     }
-    gp = general_position_report(web, grid=grid)
-    dif = diffeo_report(linearizing_map(web), web.domain, grid=grid)
+    survey = web.domain.survey(grid)
+    gp = general_position_report(web, survey)
+    dif = diffeo_report(linearizing_map(web), survey)
     gp_points = {(f.x, f.y) for f in gp.failures}
     dif_points = {(x, y) for x, y, _ in dif.failures}
     ok = gp_points == locus and dif_points == locus and len(locus) == 25

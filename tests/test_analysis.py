@@ -21,7 +21,7 @@ from triweb.analysis import (
     hexagon_defect,
     parallelizability_report,
 )
-from triweb.web import Domain, Foliation, ThreeWeb, family_web
+from triweb.web import DEFAULT_GRID, Domain, Foliation, ThreeWeb, family_web
 
 
 def paper_curvature_closed_form(x, y):
@@ -85,13 +85,13 @@ class TestCurvatureValues:
             assert blaschke_curvature(product_web, p) == 0.0
 
     def test_closed_form_on_grid(self, paper_web):
-        xs, ys, kappa = curvature_grid(paper_web)
+        xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
         ref = paper_curvature_closed_form(xs, ys)
         rel = np.abs(kappa - ref) / np.abs(ref)
         assert rel.max() <= 1e-10
 
     def test_point_equals_grid_bit_for_bit(self, paper_web):
-        xs, ys, kappa = curvature_grid(paper_web)
+        xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
         assert xs.size == 1650
         point = [blaschke_curvature(paper_web, p) for p in zip(xs, ys)]
         assert np.array_equal(point, kappa)
@@ -130,16 +130,16 @@ class TestCurvatureValues:
 
 class TestParallelizabilityReport:
     def test_sum_web(self, parallel_web):
-        rep = parallelizability_report(parallel_web)
+        rep = parallelizability_report(parallel_web, parallel_web.domain.survey(DEFAULT_GRID))
         assert rep.parallelizable
         assert rep.max_abs_curvature == 0.0
 
     def test_product_web(self, product_web):
-        rep = parallelizability_report(product_web)
+        rep = parallelizability_report(product_web, product_web.domain.survey(DEFAULT_GRID))
         assert rep.parallelizable
 
     def test_paper_web(self, paper_web):
-        rep = parallelizability_report(paper_web)
+        rep = parallelizability_report(paper_web, paper_web.domain.survey(DEFAULT_GRID))
         assert not rep.parallelizable
         # |K| = e^(2x)/|1-x-y|^3 is smallest at the (-2,-2) corner where
         # the denominator reaches 5^3
@@ -157,7 +157,7 @@ class TestParallelizabilityReport:
             ("1", "x"): True,
         }
         for a, b, dom in family_suite:
-            rep = parallelizability_report(family_web(a, b, dom))
+            rep = parallelizability_report(family_web(a, b, dom), dom.survey(DEFAULT_GRID))
             assert rep.parallelizable == expected[(a, b)], (a, b)
 
 
@@ -282,8 +282,10 @@ class TestHexagon:
 
 class TestOracleConsistency:
     def test_paper_vs_parallel(self, paper_web, parallel_web):
-        k_paper = parallelizability_report(paper_web).max_abs_curvature
-        k_par = parallelizability_report(parallel_web).max_abs_curvature
+        k_paper, k_par = (
+            parallelizability_report(w, w.domain.survey(DEFAULT_GRID)).max_abs_curvature
+            for w in (paper_web, parallel_web)
+        )
         d_paper = hexagon_defect(paper_web, (0.0, 0.0), 0.2).defect
         d_par = hexagon_defect(parallel_web, (0.0, 0.0), 0.2).defect
         assert (k_paper <= 1e-8) == (d_paper <= 1e-7) == False  # noqa: E712

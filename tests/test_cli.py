@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -210,6 +211,22 @@ class TestDeterminism:
         want = (ROOT / "tests" / "golden" / f"{golden}.json").read_bytes()
         assert (tmp_path / "report.json").read_bytes() == want
 
+    # SHA-256 of curvature.csv from two analyze runs, in tests/golden; the
+    # CSV keeps all 17 digits, so the pin holds where numpy's exp and
+    # arithmetic round as they did when it was written
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("analyze-paper-grid-101", ["--builtin", "paper", "--grid", "101", "101"]),
+            ("analyze-product", ["--builtin", "product"]),
+        ],
+    )
+    def test_curvature_csv_matches_golden(self, tmp_path, golden, argv):
+        pins = (ROOT / "tests" / "golden" / "curvature.sha256").read_text().splitlines()
+        want = dict(reversed(line.split()) for line in pins)[golden]
+        assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "curvature.csv").read_bytes()).hexdigest() == want
+
 
 class TestAnalyze:
     def test_paper(self, tmp_path, capsys):
@@ -246,6 +263,13 @@ class TestAnalyze:
         )
         assert code == 0
         assert "curvature: parallelizable" in capsys.readouterr().out
+
+    def test_grid_failure_names_its_op_once(self, tmp_path, capsys):
+        argv = ["analyze", "--web", "ln(x)", "y", "x+y", "--box", "-1", "1", "-1", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: ln of non-positive argument in 'ln(x)' at point (-1.0, -1.0)\n"
+        )
 
 
 class TestHexagonCommand:
@@ -822,11 +846,13 @@ class TestVerifyTheoremWeb:
 class TestJetOrders:
     """Each report reads the jet order it uses: order 1 for general
     position, the diffeomorphism grid, push-forward and admissibility,
-    order 3 only for the curvature grid."""
+    order 3 only for the curvature grid.  Each command surveys its grid
+    once, and each seed's side of the excluded locus is evaluated once."""
 
     def orders(self, monkeypatch, argv):
-        """(function, order, called from curvature_grid) of every jet call."""
-        calls = []
+        """(function, order, called from curvature_grid, program source) of
+        every jet call, and the number of admissibility masks, of one run."""
+        calls, masks = [], []
         for name in ("jet_coeffs", "jet_coeffs_many"):
             real = getattr(triweb.kernels, name)
 
@@ -835,24 +861,46 @@ class TestJetOrders:
                 while frame is not None:
                     stack.add(frame.f_code.co_name)
                     frame = frame.f_back
-                calls.append((name, order, "curvature_grid" in stack))
+                calls.append((name, order, "curvature_grid" in stack, program.source))
                 return real(program, x, y, order)
 
             for mod in list(sys.modules.values()):
                 if mod and mod.__name__.startswith("triweb") and getattr(mod, name, None) is real:
                     monkeypatch.setattr(mod, name, spy)
+        real_mask = triweb.web.Domain.admissible_mask
+
+        def mask_spy(domain, xs, ys):
+            masks.append(domain)
+            return real_mask(domain, xs, ys)
+
+        monkeypatch.setattr(triweb.web.Domain, "admissible_mask", mask_spy)
         assert main(argv) == 0
-        return calls
+        return calls, len(masks)
 
     def test_verify_theorem_reads_order_1_only(self, tmp_path, monkeypatch):
         argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
-        calls = self.orders(monkeypatch, argv)
-        assert {order for _, order, _ in calls} == {1}
-        assert {name for name, _, _ in calls} == {"jet_coeffs", "jet_coeffs_many"}
+        calls, _ = self.orders(monkeypatch, argv)
+        assert {c[1] for c in calls} == {1}
+        assert {c[0] for c in calls} == {"jet_coeffs", "jet_coeffs_many"}
 
     def test_analyze_reads_order_3_once_for_curvature(self, tmp_path, monkeypatch):
-        calls = self.orders(monkeypatch, ["analyze", "--builtin", "paper", "--out", str(tmp_path)])
-        assert [c for c in calls if c[1] != 1] == [("jet_coeffs_many", 3, True)]
+        argv = ["analyze", "--builtin", "paper", "--out", str(tmp_path)]
+        calls, _ = self.orders(monkeypatch, argv)
+        assert [c[:3] for c in calls if c[1] != 1] == [("jet_coeffs_many", 3, True)]
+
+    def test_analyze_surveys_once(self, tmp_path, monkeypatch):
+        argv = ["analyze", "--builtin", "paper", "--out", str(tmp_path)]
+        calls, masks = self.orders(monkeypatch, argv)
+        assert masks == 1
+        # the mask, three general-position gradients and the curvature jets
+        assert [c[0] for c in calls] == ["jet_coeffs_many"] * 5
+
+    def test_verify_theorem_surveys_once_and_sides_each_seed_once(self, tmp_path, monkeypatch):
+        argv = ["verify-theorem", "--seeds", "3", "--max-arc", "0.5", "--out", str(tmp_path)]
+        calls, masks = self.orders(monkeypatch, argv)
+        assert masks == 1
+        # only a seed's side reads the exclusion 1-x-y by jet_coeffs
+        assert [c[0] for c in calls if c[3] == "1-x-y"].count("jet_coeffs") == 3
 
 
 class TestReadmeLibrary:

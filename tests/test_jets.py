@@ -25,10 +25,10 @@ from triweb.expr import parse
 from triweb.jets import JET_INDEX, JET_SIZE, Jet3, product_coeffs
 from triweb.kernels import (
     compile_expr,
-    error_message,
     eval_jet3,
     jet_coeffs,
     jet_coeffs_many,
+    jet_coeffs_or_raise,
 )
 
 WEB_FN = "(x+y)*exp(-x)"
@@ -321,7 +321,12 @@ class TestBatch:
                         single = jet_coeffs(prog, *point, order)
                     except EvalDomainError as exc:
                         assert codes[i] != 0, case
-                        message = error_message(prog, codes[i], opidx[i])
-                        assert str(exc).startswith(f"{message} at point"), case
+                        _, code, op = jet_coeffs_many(prog, [point[0]], [point[1]], order)
+                        assert (code[0], op[0]) == (codes[i], opidx[i]), case
+                        # a batch failure is attributed as the point's is
+                        with pytest.raises(EvalDomainError) as batch:
+                            jet_coeffs_or_raise(prog, [point[0]], [point[1]], order)
+                        assert str(batch.value) == str(exc), case
+                        assert batch.value.fragment == exc.fragment, case
                     else:
                         assert codes[i] == 0 and np.array_equal(out[i], single), case

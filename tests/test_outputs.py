@@ -3,9 +3,13 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triweb.outputs import (
     _FOLIATION_COLORS,
@@ -77,7 +81,18 @@ class TestLeafCsv:
         assert lines[-1].endswith(",1")
 
 
+# values whose text differs though they compare equal (0.0 and -0.0), or
+# compare unequal to themselves (nan)
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1.0, 0.1, 1e308]
+
+
 class TestCurvatureCsv:
+    def check(self, path, xs, ys, ks):
+        xs, ys, ks = (np.array(v, dtype=float) for v in (xs, ys, ks))
+        write_curvature_csv(path, xs, ys, ks)
+        reference_curvature_csv(path.with_suffix(".ref"), xs, ys, ks)
+        assert path.read_bytes() == path.with_suffix(".ref").read_bytes()
+
     def test_fields_are_fmt(self, tmp_path):
         xs = np.array([-0.0, 5e-324, 1e308, 0.1, 1e-5])
         ys, ks = xs[::-1], -xs
@@ -90,6 +105,44 @@ class TestCurvatureCsv:
         assert [line.split(",") for line in lines[1:]] == [
             [fmt(x), fmt(y), fmt(k)] for x, y, k in zip(xs, ys, ks)
         ]
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="lengths differ"):
+            write_curvature_csv(tmp_path / "c.csv", [0.0, 1.0], [0.0], [1.0, 2.0])
+
+    def test_empty_writes_the_header(self, tmp_path):
+        self.check(tmp_path / "c.csv", [], [], [])
+        assert (tmp_path / "c.csv").read_text() == "x,y,K\n"
+
+    def test_ungrouped_and_repeated_ys(self, tmp_path):
+        ys = [1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 3.0, 1.0]
+        self.check(tmp_path / "c.csv", np.arange(8) / 7, ys, np.arange(8) * 0.3)
+
+    def test_repeated_x(self, tmp_path):
+        xs = [0.5, 0.5, 0.5, -1.0, 0.5, -1.0]
+        self.check(tmp_path / "c.csv", xs, [0.0, 0.0, 1.0, 1.0, 1.0, 0.0], np.arange(6) / 3)
+
+    def test_special_values_in_every_column(self, tmp_path):
+        for shift in range(len(_SPECIAL)):
+            rolled = _SPECIAL[shift:] + _SPECIAL[:shift]
+            self.check(tmp_path / "c.csv", _SPECIAL, rolled, rolled[::-1])
+        # -0.0 and 0.0 share a run under ==, but not their text
+        self.check(tmp_path / "c.csv", [1.0, 2.0, 1.0], [0.0, -0.0, -0.0], [-0.0, 0.0, 5e-324])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+                st.one_of(st.sampled_from(_SPECIAL[:4]), st.floats()),
+                st.floats(),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_reference_on_random_rows(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.check(Path(tmp) / "c.csv", *(zip(*rows) if rows else ([], [], [])))
 
 
 class TestHexagonCsv:
@@ -124,6 +177,13 @@ def _reference_csv(path, header, blocks, footer=""):
         for block in blocks:
             f.write(line * len(block) % tuple(block.ravel().tolist()))
         f.write(footer)
+
+
+def reference_curvature_csv(path, xs, ys, ks):
+    """Every field formatted on its own by ``fmt``, one row per point."""
+    with open(path, "w") as f:
+        f.write("x,y,K\n")
+        f.writelines(f"{fmt(x)},{fmt(y)},{fmt(k)}\n" for x, y, k in zip(xs, ys, ks))
 
 
 def reference_leaf_csv(path, leaves, with_image=False):

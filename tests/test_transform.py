@@ -14,7 +14,7 @@ from triweb.transform import (
     linearizing_map,
     push_polyline,
 )
-from triweb.web import Domain, Foliation, LeafPolyline, ThreeWeb, trace_leaf
+from triweb.web import DEFAULT_GRID, Domain, Foliation, LeafPolyline, ThreeWeb, trace_leaf
 
 E_INV = math.exp(-1.0)  # 0.36787944117144233
 
@@ -28,7 +28,7 @@ def apply_map(m, p):
 def grid_dets(m, box, grid=(2, 2)):
     """{(x, y): det J} at every point of a grid over ``box``: under an
     infinite threshold diffeo_report lists every point as failing."""
-    rep = diffeo_report(m, Domain(box=box), grid=grid, threshold=math.inf)
+    rep = diffeo_report(m, Domain(box=box).survey(grid), threshold=math.inf)
     return {(x, y): det for x, y, det in rep.failures}
 
 
@@ -101,21 +101,21 @@ class TestApplyAndJacobian:
 
 class TestDiffeoReport:
     def test_paper_banded_passes(self, paper_web):
-        rep = diffeo_report(linearizing_map(paper_web), paper_web.domain)
+        rep = diffeo_report(linearizing_map(paper_web), paper_web.domain.survey(DEFAULT_GRID))
         assert rep.verdict
         assert rep.min_abs_det >= math.exp(-2) * 0.05 * 0.9
         assert rep.min_abs_det == pytest.approx(math.exp(-2) * 0.1, rel=1e-9)
 
     def test_zero_margin_fails_exactly_on_locus(self, paper_web):
         d = paper_web.domain.with_margin(0.0)
-        rep = diffeo_report(linearizing_map(paper_web), d, grid=(33, 33))
+        rep = diffeo_report(linearizing_map(paper_web), d.survey((33, 33)))
         assert not rep.verdict
         locus = {(x, 1.0 - x) for x in np.linspace(-2, 2, 33) if -2 <= 1.0 - x <= 2}
         assert {(x, y) for x, y, _ in rep.failures} == locus
 
     def test_cubic_fold_fails_at_zero(self):
         m = PlaneMap(Foliation(parse("x^3")), Foliation(parse("y")), name="cubic")
-        rep = diffeo_report(m, Domain(box=(-1, 1, -1, 1)), grid=(5, 5))
+        rep = diffeo_report(m, Domain(box=(-1, 1, -1, 1)).survey((5, 5)))
         assert not rep.verdict
         assert {x for x, _, _ in rep.failures} == {0.0}
 

@@ -20,10 +20,9 @@ import triweb.kernels
 from conftest import overlap_hausdorff
 from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
-from triweb.analysis import parallelizability_report
 from triweb.kernels import jet_coeffs
-from triweb.transform import diffeo_report, identity_map
 from triweb.web import (
+    DEFAULT_GRID,
     EPS_GRAD,
     H_MAX,
     H_STEP,
@@ -69,7 +68,7 @@ class TestDomain:
 
     def test_grid_requires_2x2(self):
         with pytest.raises(ConfigError):
-            Domain().survey((1, 5), [])
+            Domain().survey((1, 5))
 
     def test_mask_matches_pointwise(self, paper_web):
         d = paper_web.domain
@@ -79,9 +78,9 @@ class TestDomain:
         for i in range(xs.size):
             assert mask[i] == d.admissible((xs[i], ys[i]))
         # the survey keeps exactly these points, x varying fastest
-        sx, sy, n_total, jets = d.survey((11, 11), [])
-        assert n_total == 121 and jets == []
-        assert np.array_equal(sx, xs[mask]) and np.array_equal(sy, ys[mask])
+        s = d.survey((11, 11))
+        assert (s.n_total, s.nx, s.ny) == (121, 11, 11) and s.jets([]) == []
+        assert np.array_equal(s.xs, xs[mask]) and np.array_equal(s.ys, ys[mask])
 
     def test_unevaluable_exclusion_means_inadmissible(self):
         # ln(x) cannot be evaluated for x <= 0: those points drop out
@@ -141,7 +140,7 @@ class TestFamilyWeb:
 
 class TestGeneralPosition:
     def test_paper_default_passes(self, paper_web):
-        rep = general_position_report(paper_web)
+        rep = general_position_report(paper_web, paper_web.domain.survey(DEFAULT_GRID))
         assert rep.verdict
         # min pairwise det is e^-x |1-x-y| at x=2 with the grid's smallest
         # off-band |1-x-y| = 0.1
@@ -149,7 +148,7 @@ class TestGeneralPosition:
 
     def test_zero_margin_fails_exactly_on_locus(self, paper_web):
         web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
-        rep = general_position_report(web, grid=(33, 33))
+        rep = general_position_report(web, web.domain.survey((33, 33)))
         assert not rep.verdict
         # step 1/8 makes x+y = 1 land exactly on grid points
         locus = {(x, 1.0 - x) for x in np.linspace(-2, 2, 33) if -2 <= 1.0 - x <= 2}
@@ -161,20 +160,20 @@ class TestGeneralPosition:
         # the 41x41 grid hits x+y = 1 only up to rounding, but the
         # resulting determinants still sit far below the threshold
         web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
-        rep = general_position_report(web)
+        rep = general_position_report(web, web.domain.survey(DEFAULT_GRID))
         assert not rep.verdict
         for f in rep.failures:
             assert abs(1.0 - f.x - f.y) < 1e-9
 
     def test_parallel_passes_everywhere(self, parallel_web):
-        rep = general_position_report(parallel_web)
+        rep = general_position_report(parallel_web, parallel_web.domain.survey(DEFAULT_GRID))
         assert rep.verdict
         assert rep.min_pairwise_det == pytest.approx(1.0)
 
     def test_family_1_x_fails_on_x_axis(self):
         # f = x + x*y has d f/dy = x, so F1 and F3 become tangent at x = 0
         w = family_web("1", "x", Domain(box=(-1, 1, -0.5, 1)))
-        rep = general_position_report(w, grid=(5, 5))
+        rep = general_position_report(w, w.domain.survey((5, 5)))
         assert not rep.verdict
         assert {f.x for f in rep.failures} == {0.0}
         assert {f.check for f in rep.failures} == {"pair13"}
@@ -184,24 +183,22 @@ class TestGeneralPosition:
             (
                 Foliation(parse("x"), "F1"),
                 Foliation(parse("y"), "F2"),
-                Foliation(parse("ln(x)"), "F3"),
+                Foliation(parse("y+ln(x)"), "F3"),
             ),
             Domain(box=(-1, 1, -1, 1)),
         )
-        with pytest.raises(Exception, match="ln"):
-            general_position_report(w, grid=(5, 5))
+        with pytest.raises(EvalDomainError, match="ln") as err:
+            general_position_report(w, w.domain.survey((5, 5)))
+        # the failing op is named once, as a point jet names it
+        assert (err.value.fragment, err.value.point) == ("ln(x)", (-1.0, -1.0))
+        assert str(err.value).count("ln(x)") == 1
 
     def test_empty_admissible_grid_is_config_error(self):
         # |1| < 2 everywhere: no point of the box is admissible
         w = ThreeWeb.from_integrals(("x", "y", "x+y"), Domain((0, 1, 0, 1), parse("1"), 2.0))
-        reports = (
-            lambda: general_position_report(w),
-            lambda: diffeo_report(identity_map(), w.domain),
-            lambda: parallelizability_report(w),
-        )
-        for report in reports:
-            with pytest.raises(ConfigError, match="no admissible grid points"):
-                report()
+        # every grid report reads a survey, and none exists without a point
+        with pytest.raises(ConfigError, match="no admissible grid points"):
+            w.domain.survey(DEFAULT_GRID)
 
 
 class TestTraceLeaf:
