@@ -90,8 +90,6 @@ class ParallelizabilityReport:
     kappa: np.ndarray
 
     def __post_init__(self):
-        self.xs.setflags(write=False)
-        self.ys.setflags(write=False)
         self.kappa.setflags(write=False)
 
     def to_dict(self) -> dict:

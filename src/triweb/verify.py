@@ -286,15 +286,11 @@ def foliation_linearity(
     seeds=None,
     tol: float = DEFAULT_LINEARITY_TOL,
     max_arc: float = DEFAULT_MAX_ARC,
-    components=None,
 ) -> LinearityReport:
     """Trace the leaf through each seed, push it through ``m`` (identity
-    when None), and score collinearity per leaf.  ``components`` gives
-    each seed's side of the excluded locus, computed when None."""
+    when None), and score collinearity per leaf."""
     if seeds is None:
         seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS)
-    if components is None:
-        components = tuple(_seed_component(web.domain, seed) for seed in seeds)
     leaves = []
     for seed in seeds:
         pre = _trace_one(web, fol_index, seed, max_arc)
@@ -313,7 +309,7 @@ def foliation_linearity(
         map_name=m.name if m is not None else "identity",
         seeds=tuple(seeds),
         levels=tuple(pre.level for pre, _ in leaves),
-        components=tuple(components),
+        components=tuple(_seed_component(web.domain, seed) for seed in seeds),
         residuals=tuple(residuals),
         max_residual=float(max_res),
         tol=tol,
@@ -360,10 +356,7 @@ def verify_map(
     gp = general_position_report(web, survey)
     dif = diffeo_report(m, survey, threshold=diffeo_tol)
     seeds = diagonal_seeds(web.domain, seeds_per_foliation)
-    components = tuple(_seed_component(web.domain, seed) for seed in seeds)
-    fol_reports = tuple(
-        foliation_linearity(web, i, m, seeds, tol, max_arc, components) for i in (1, 2, 3)
-    )
+    fol_reports = tuple(foliation_linearity(web, i, m, seeds, tol, max_arc) for i in (1, 2, 3))
 
     line_check = None
     if line_formula is not None:

@@ -102,6 +102,14 @@ class Survey:
     nx: int
     ny: int
 
+    def __post_init__(self):
+        if self.xs.size == 0:
+            raise ConfigError("no admissible grid points in domain")
+        for name in ("xs", "ys"):  # read-only views: the caller's arrays stay as they are
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
     def jets(self, programs, order: int = 1) -> list[np.ndarray]:
         """Each program's batch jets at ``order``, one row per point; raises
         :class:`EvalDomainError` naming the first point where one fails."""
@@ -160,8 +168,8 @@ class Domain:
 
     def survey(self, grid: tuple[int, int]) -> Survey:
         """The admissible points of the nx x ny grid over the box.  Raises
-        :class:`ConfigError` for a grid under 2x2 or one with no admissible
-        point."""
+        :class:`ConfigError` for a grid under 2x2 or, from :class:`Survey`,
+        one with no admissible point."""
         nx, ny = grid
         if nx < 2 or ny < 2:
             raise ConfigError(f"grid must be at least 2x2, got {nx}x{ny}")
@@ -169,8 +177,6 @@ class Domain:
         xx, yy = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
         xs, ys = xx.ravel(), yy.ravel()
         mask = self.admissible_mask(xs, ys)
-        if not mask.any():
-            raise ConfigError("no admissible grid points in domain")
         return Survey(xs[mask], ys[mask], mask.size, nx, ny)
 
     def with_margin(self, margin: float) -> "Domain":

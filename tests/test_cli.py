@@ -847,11 +847,11 @@ class TestJetOrders:
     """Each report reads the jet order it uses: order 1 for general
     position, the diffeomorphism grid, push-forward and admissibility,
     order 3 only for the curvature grid.  Each command surveys its grid
-    once, and each seed's side of the excluded locus is evaluated once."""
+    once."""
 
     def orders(self, monkeypatch, argv):
-        """(function, order, called from curvature_grid, program source) of
-        every jet call, and the number of admissibility masks, of one run."""
+        """(function, order, called from curvature_grid) of every jet call,
+        and the number of admissibility masks, of one run."""
         calls, masks = [], []
         for name in ("jet_coeffs", "jet_coeffs_many"):
             real = getattr(triweb.kernels, name)
@@ -861,7 +861,7 @@ class TestJetOrders:
                 while frame is not None:
                     stack.add(frame.f_code.co_name)
                     frame = frame.f_back
-                calls.append((name, order, "curvature_grid" in stack, program.source))
+                calls.append((name, order, "curvature_grid" in stack))
                 return real(program, x, y, order)
 
             for mod in list(sys.modules.values()):
@@ -880,13 +880,13 @@ class TestJetOrders:
     def test_verify_theorem_reads_order_1_only(self, tmp_path, monkeypatch):
         argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
         calls, _ = self.orders(monkeypatch, argv)
-        assert {c[1] for c in calls} == {1}
-        assert {c[0] for c in calls} == {"jet_coeffs", "jet_coeffs_many"}
+        assert {order for _, order, _ in calls} == {1}
+        assert {name for name, _, _ in calls} == {"jet_coeffs", "jet_coeffs_many"}
 
     def test_analyze_reads_order_3_once_for_curvature(self, tmp_path, monkeypatch):
         argv = ["analyze", "--builtin", "paper", "--out", str(tmp_path)]
         calls, _ = self.orders(monkeypatch, argv)
-        assert [c[:3] for c in calls if c[1] != 1] == [("jet_coeffs_many", 3, True)]
+        assert [c for c in calls if c[1] != 1] == [("jet_coeffs_many", 3, True)]
 
     def test_analyze_surveys_once(self, tmp_path, monkeypatch):
         argv = ["analyze", "--builtin", "paper", "--out", str(tmp_path)]
@@ -895,12 +895,10 @@ class TestJetOrders:
         # the mask, three general-position gradients and the curvature jets
         assert [c[0] for c in calls] == ["jet_coeffs_many"] * 5
 
-    def test_verify_theorem_surveys_once_and_sides_each_seed_once(self, tmp_path, monkeypatch):
+    def test_verify_theorem_surveys_once(self, tmp_path, monkeypatch):
         argv = ["verify-theorem", "--seeds", "3", "--max-arc", "0.5", "--out", str(tmp_path)]
-        calls, masks = self.orders(monkeypatch, argv)
+        _, masks = self.orders(monkeypatch, argv)
         assert masks == 1
-        # only a seed's side reads the exclusion 1-x-y by jet_coeffs
-        assert [c[0] for c in calls if c[3] == "1-x-y"].count("jet_coeffs") == 3
 
 
 class TestReadmeLibrary:

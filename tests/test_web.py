@@ -20,7 +20,9 @@ import triweb.kernels
 from conftest import overlap_hausdorff
 from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
+from triweb.analysis import parallelizability_report
 from triweb.kernels import jet_coeffs
+from triweb.transform import diffeo_report, identity_map
 from triweb.web import (
     DEFAULT_GRID,
     EPS_GRAD,
@@ -31,6 +33,7 @@ from triweb.web import (
     TOL_LEVEL,
     Domain,
     Foliation,
+    Survey,
     ThreeWeb,
     _GradCollapse,
     builtin_web,
@@ -81,6 +84,15 @@ class TestDomain:
         s = d.survey((11, 11))
         assert (s.n_total, s.nx, s.ny) == (121, 11, 11) and s.jets([]) == []
         assert np.array_equal(s.xs, xs[mask]) and np.array_equal(s.ys, ys[mask])
+
+    def test_survey_is_read_only_and_leaves_its_input(self, paper_web):
+        xs, ys = np.array([-1.0, -0.5, 0.0]), np.zeros(3)
+        s = Survey(xs, ys, 3, 3, 1)
+        assert not (s.xs.flags.writeable or s.ys.flags.writeable)
+        # neither the survey nor a report on it freezes the caller's arrays
+        rep = parallelizability_report(paper_web, s)
+        assert rep.xs is s.xs and not rep.kappa.flags.writeable
+        assert xs.flags.writeable and ys.flags.writeable
 
     def test_unevaluable_exclusion_means_inadmissible(self):
         # ln(x) cannot be evaluated for x <= 0: those points drop out
@@ -196,9 +208,17 @@ class TestGeneralPosition:
     def test_empty_admissible_grid_is_config_error(self):
         # |1| < 2 everywhere: no point of the box is admissible
         w = ThreeWeb.from_integrals(("x", "y", "x+y"), Domain((0, 1, 0, 1), parse("1"), 2.0))
-        # every grid report reads a survey, and none exists without a point
-        with pytest.raises(ConfigError, match="no admissible grid points"):
-            w.domain.survey(DEFAULT_GRID)
+        empty = np.empty(0)
+        surveys = (lambda: w.domain.survey(DEFAULT_GRID), lambda: Survey(empty, empty, 4, 2, 2))
+        reports = (
+            lambda s: general_position_report(w, s),
+            lambda s: diffeo_report(identity_map(), s),
+            lambda s: parallelizability_report(w, s),
+        )
+        for survey in surveys:
+            for report in reports:
+                with pytest.raises(ConfigError, match="no admissible grid points"):
+                    report(survey())
 
 
 class TestTraceLeaf:
