@@ -18,6 +18,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -503,7 +504,10 @@ def _cmd_family(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it is, so every call of :func:`main` shares it."""
     ap = argparse.ArgumentParser(
         prog="triweb",
         description="Planar 3-webs from first integrals: trace leaves, measure "

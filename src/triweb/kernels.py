@@ -23,7 +23,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -290,9 +290,18 @@ class Program:
     inline: Callable = field(repr=False, compare=False)  # (template, names, name) -> function
 
 
+@lru_cache(maxsize=256)
+def _compiled(code: str):
+    """The code object of generated source, shared by every program that
+    generates the same text: the text holds only generated names and
+    literals, so what differs between programs (``fail`` and its fragments)
+    is bound per program by :func:`_bind`."""
+    return compile(code, "<triweb jet>", "exec")
+
+
 def _bind(code: str, names: dict, name: str = "jet") -> Callable:
     namespace = dict(names)
-    exec(compile(code, "<triweb jet>", "exec"), namespace)
+    exec(_compiled(code), namespace)
     return namespace[name]
 
 

@@ -94,7 +94,20 @@ def _diameter(points: np.ndarray) -> float:
     calipers enumerate (Preparata & Shamos, *Computational Geometry*,
     1985), in O(n log n) time and O(n) memory.  The hull and the calipers
     compare exact integer coordinates: nearly collinear sets, such as the
-    images of straightened leaves, defeat floating-point orientation tests."""
+    images of straightened leaves, defeat floating-point orientation tests.
+
+    Only points that can end a pair as long as a known one go to the hull.
+    A point's distance to any other is at most its distance to the farthest
+    corner of the bounding box, and both ends of the largest pair are at
+    least the known pair's length apart; the 1e-9 relative slack covers the
+    rounding of both sides, so the result is the one over all points.  On a
+    leaf's image that keeps about its two ends."""
+    x, y = points[:, 0], points[:, 1]
+    a = np.argmax((x - x[0]) ** 2 + (y - y[0]) ** 2)  # farthest from point 0
+    known = ((x - x[a]) ** 2 + (y - y[a]) ** 2).max()  # and the farthest from it
+    fx = np.maximum(x - x.min(), x.max() - x)
+    fy = np.maximum(y - y.min(), y.max() - y)
+    points = points[fx * fx + fy * fy >= known * (1.0 - 1e-9)]
     xs, ys = _exact_coordinates(points)
     hull = _convex_hull(xs, ys, np.lexsort((points[:, 1], points[:, 0])).tolist())
     h = len(hull)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -138,23 +138,27 @@ class Domain:
         if not 0 <= self.margin < math.inf:
             raise ConfigError(f"exclusion margin must be finite and >= 0, got {self.margin}")
         prog = compile_expr(self.exclude) if self.exclude is not None else None
+        jet, margin = prog.at_point[1] if prog else None, self.margin
+
+        def inside(x: float, y: float) -> bool:  # bound once: the walker calls it per step
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                return False
+            if jet is None:
+                return True
+            try:
+                return abs(jet(x, y)[0]) >= margin
+            except EvalDomainError:
+                return False
+
         object.__setattr__(self, "_exclude_program", prog)
-        object.__setattr__(self, "_exclude_jet", prog.at_point[1] if prog else None)
+        object.__setattr__(self, "_inside", inside)
 
     @property
     def exclude_program(self) -> Program | None:
         return self._exclude_program
 
     def admissible(self, p) -> bool:
-        xmin, xmax, ymin, ymax = self.box
-        if not (xmin <= p[0] <= xmax and ymin <= p[1] <= ymax):
-            return False
-        if self._exclude_jet is None:
-            return True
-        try:
-            return abs(self._exclude_jet(float(p[0]), float(p[1]))[0]) >= self.margin
-        except EvalDomainError:
-            return False
+        return self._inside(float(p[0]), float(p[1]))
 
     def admissible_mask(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -178,9 +182,6 @@ class Domain:
         xs, ys = xx.ravel(), yy.ravel()
         mask = self.admissible_mask(xs, ys)
         return Survey(xs[mask], ys[mask], mask.size, nx, ny)
-
-    def with_margin(self, margin: float) -> "Domain":
-        return replace(self, margin=margin)
 
     def diagonal_points(self, fractions) -> np.ndarray:
         xmin, xmax, ymin, ymax = self.box
@@ -212,13 +213,6 @@ class Foliation:
     @property
     def program(self) -> Program:
         return self._program
-
-    def value(self, p) -> float:
-        return jet_coeffs(self._program, p[0], p[1], order=1)[0]
-
-    def grad(self, p) -> tuple[float, float]:
-        _, gx, gy = jet_coeffs(self._program, p[0], p[1], order=1)
-        return gx, gy
 
 
 @dataclass(frozen=True)
@@ -438,7 +432,7 @@ def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, stop=No
     from 1; else the truncation flag.  The third item is the point the walk
     stopped at, or the EvalDomainError of "domain_exit".
     """
-    advance = fol.advance
+    advance, inside = fol.advance, domain._inside
     (x, y), (gx, gy) = p0, grad
     pts: list[tuple[float, float]] = []
     for k, ds in enumerate(steps, 1):
@@ -450,7 +444,7 @@ def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, stop=No
             return pts, "domain_exit", exc
         if not converged:
             return pts, "projection_stall", (xn, yn)
-        if not domain.admissible((xn, yn)):
+        if not inside(xn, yn):
             return pts, "boundary", (xn, yn)
         pts.append((xn, yn))
         x, y = xn, yn

@@ -12,6 +12,7 @@ asserted as required rather than weakened to match actual behavior;
 the verified actual minimum is covered in test_analysis.py.
 """
 
+import dataclasses
 import json
 import math
 
@@ -215,7 +216,7 @@ def test_criterion_7_autodiff_soundness():
 
 
 def test_criterion_8_degeneracy_localization(paper_web):
-    web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
+    web = ThreeWeb(paper_web.foliations, dataclasses.replace(paper_web.domain, margin=0.0))
     grid = (33, 33)  # step 1/8 puts x+y = 1 exactly on grid points
     locus = {
         (float(x), float(1.0 - x))

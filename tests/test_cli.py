@@ -227,6 +227,16 @@ class TestDeterminism:
         assert main(["analyze", *argv, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "curvature.csv").read_bytes()).hexdigest() == want
 
+    # SHA-256 of the leaf CSVs and SVG of verify-theorem, in tests/golden;
+    # the CSVs keep all 17 digits of every traced and mapped vertex
+    def test_theorem_outputs_match_golden(self, tmp_path):
+        pins = (ROOT / "tests" / "golden" / "theorem-outputs.sha256").read_text().splitlines()
+        want = dict(reversed(line.split()) for line in pins)
+        assert sorted(want) == ["leaves_f1.csv", "leaves_f2.csv", "leaves_f3.csv", "web.svg"]
+        assert main(["verify-theorem", "--builtin", "paper", "--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+        assert got == want
+
 
 class TestAnalyze:
     def test_paper(self, tmp_path, capsys):
@@ -458,6 +468,9 @@ EXPECTED_OPTIONS = {
 
 
 class TestParserLayout:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_options_match_hand_written_parser(self):
         ap = build_parser()
         sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triweb.kernels
 from conftest import (
     CORPUS,
     assert_jet_matches_fd,
@@ -330,3 +331,40 @@ class TestBatch:
                         assert batch.value.fragment == exc.fragment, case
                     else:
                         assert codes[i] == 0 and np.array_equal(out[i], single), case
+
+
+class TestCodeCache:
+    """Generated source is compiled once per text, and what differs
+    between programs, such as the fragments an error names, is bound per
+    program."""
+
+    def test_one_compile_per_source(self, monkeypatch):
+        compiled = []
+
+        def spy(source, *args):
+            compiled.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(triweb.kernels, "compile", spy, raising=False)
+        cache = triweb.kernels._compiled
+        text = "sin(2.0625*x)*y^3-x/7.5"  # compiled by no other test
+        before = cache.cache_info()
+        compile_expr(text)
+        first = cache.cache_info()
+        compile_expr(text)
+        after = cache.cache_info()
+        # point and array code at orders 1 and 3
+        assert len(compiled) == len(set(compiled)) == first.misses - before.misses == 4
+        assert (after.misses, after.hits - first.hits) == (first.misses, 4)
+
+    def test_spellings_share_code_but_name_their_own_text(self):
+        spaced, plain = compile_expr("ln( x )"), compile_expr(parse("ln(x)"))
+        for order in (1, 3):
+            assert spaced.at_point[order].__code__ is plain.at_point[order].__code__
+            assert spaced.on_arrays[order].__code__ is plain.on_arrays[order].__code__
+        for prog, fragment in ((spaced, "ln( x )"), (plain, "ln(x)")):
+            for order in (1, 3):
+                with pytest.raises(EvalDomainError) as exc:
+                    jet_coeffs(prog, -1.0, 0.0, order)
+                assert exc.value.fragment == fragment
+                assert exc.value.point == (-1.0, 0.0)

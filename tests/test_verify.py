@@ -1,5 +1,6 @@
 """Linearity certificates and the full verification pipelines."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triweb.verify
 from triweb.errors import ConfigError, TraceError
 from triweb.expr import parse
 from triweb.transform import identity_map, linearizing_map
@@ -82,7 +84,12 @@ class TestCollinearityResidual:
 
 
 def _brute_diameter(pts: np.ndarray) -> float:
-    d = pts[:, None, :] - pts[None, :, :]
+    return _brute_diameter_to(pts, pts)
+
+
+def _brute_diameter_to(pts: np.ndarray, some: np.ndarray) -> float:
+    """Largest distance from a point of ``some`` to one of ``pts``."""
+    d = some[:, None, :] - pts[None, :, :]
     return float(np.sqrt((d * d).sum(axis=2)).max())
 
 
@@ -123,6 +130,36 @@ class TestDiameter:
         t = np.linspace(0.0, 3.0, 301)
         arc = np.column_stack((np.cos(t), np.sin(t)))
         assert _diameter(arc) == _brute_diameter(arc)
+
+    @pytest.fixture
+    def hull_sizes(self, monkeypatch):
+        """The number of points of each set that reaches the exact hull."""
+        seen = []
+        exact = triweb.verify._exact_coordinates
+
+        def spy(points):
+            seen.append(len(points))
+            return exact(points)
+
+        monkeypatch.setattr(triweb.verify, "_exact_coordinates", spy)
+        return seen
+
+    def test_hull_sees_only_the_ends_of_a_long_line(self, hull_sizes):
+        # a --max-arc 1000 leaf's image: the prefilter leaves the hull its ends
+        t = np.linspace(-1.0, 1.3, 200_001)
+        pts = np.column_stack(((0.7 + t) * math.exp(-0.7), t))
+        dx, dy = pts[0] - pts[-1]
+        assert _diameter(pts) == float(np.sqrt(dx * dx + dy * dy))
+        assert len(hull_sizes) == 1 and hull_sizes[0] <= 16
+
+    def test_circle_keeps_every_point(self, hull_sizes):
+        # no point of a circle is nearer its farthest box corner than the
+        # diameter, so all reach the hull, and near-ties abound
+        t = np.random.default_rng(3).uniform(0.0, 2 * math.pi, 2000)
+        pts = np.column_stack((np.cos(t), np.sin(t)))
+        brute = max(_brute_diameter_to(pts, pts[lo : lo + 250]) for lo in range(0, 2000, 250))
+        assert _diameter(pts) == brute
+        assert hull_sizes == [2000]
 
     def test_memory_is_linear(self):
         # 4,001 vertices is a --max-arc 20 leaf; pairwise matrices took
@@ -219,7 +256,7 @@ class TestVerifyLinearization:
         assert rep.line_check is None
 
     def test_zero_margin_fails_in_degeneracy_stage_only(self, paper_web):
-        web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
+        web = ThreeWeb(paper_web.foliations, dataclasses.replace(paper_web.domain, margin=0.0))
         rep = verify_linearization(web, grid=(33, 33))
         assert not rep.overall_pass
         assert not rep.general_position.verdict

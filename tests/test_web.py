@@ -6,6 +6,7 @@ origin is the straight line y = -x (level 0); both follow from solving
 (x+y) e^-x = const by hand.
 """
 
+import dataclasses
 import io
 import math
 import re
@@ -112,8 +113,8 @@ class TestDomain:
 class TestBuiltinWebs:
     def test_paper_values(self, paper_web):
         u3 = paper_web.foliation(3)
-        assert u3.value((1.0, 1.0)) == pytest.approx(TWO_OVER_E, rel=1e-15)
-        assert u3.value((0.0, 0.0)) == 0.0
+        assert jet_coeffs(u3.program, 1.0, 1.0, order=1)[0] == pytest.approx(TWO_OVER_E, rel=1e-15)
+        assert jet_coeffs(u3.program, 0.0, 0.0, order=1)[0] == 0.0
         assert paper_web.is_normal_form
         assert paper_web.domain.margin == 0.05
 
@@ -133,15 +134,16 @@ class TestFamilyWeb:
         u3 = w.foliation(3)
         ref = paper_web.foliation(3)
         for p in [(0.3, -0.7), (1.1, 0.4), (-0.8, 0.2)]:
-            assert u3.value(p) == pytest.approx(ref.value(p), rel=1e-14)
+            want = jet_coeffs(ref.program, *p, order=1)[0]
+            assert jet_coeffs(u3.program, *p, order=1)[0] == pytest.approx(want, rel=1e-14)
 
     def test_unit_coefficients_give_sum(self):
         w = family_web("1", "1")
-        assert w.foliation(3).value((0.7, -0.2)) == pytest.approx(0.5)
+        assert jet_coeffs(w.foliation(3).program, 0.7, -0.2, order=1)[0] == pytest.approx(0.5)
 
     def test_a1_bx_member(self):
-        w = family_web("1", "x")
-        assert w.foliation(3).value((2.0, 3.0)) == pytest.approx(8.0)  # x + x*y
+        u3 = family_web("1", "x").foliation(3).program
+        assert jet_coeffs(u3, 2.0, 3.0, order=1)[0] == pytest.approx(8.0)  # x + x*y
 
     def test_y_dependence_rejected(self):
         with pytest.raises(ConfigError, match="mentions y"):
@@ -159,7 +161,7 @@ class TestGeneralPosition:
         assert rep.min_pairwise_det == pytest.approx(math.exp(-2) * 0.1, rel=1e-9)
 
     def test_zero_margin_fails_exactly_on_locus(self, paper_web):
-        web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
+        web = ThreeWeb(paper_web.foliations, dataclasses.replace(paper_web.domain, margin=0.0))
         rep = general_position_report(web, web.domain.survey((33, 33)))
         assert not rep.verdict
         # step 1/8 makes x+y = 1 land exactly on grid points
@@ -171,7 +173,7 @@ class TestGeneralPosition:
     def test_zero_margin_fails_on_default_grid_too(self, paper_web):
         # the 41x41 grid hits x+y = 1 only up to rounding, but the
         # resulting determinants still sit far below the threshold
-        web = ThreeWeb(paper_web.foliations, paper_web.domain.with_margin(0.0))
+        web = ThreeWeb(paper_web.foliations, dataclasses.replace(paper_web.domain, margin=0.0))
         rep = general_position_report(web, web.domain.survey(DEFAULT_GRID))
         assert not rep.verdict
         for f in rep.failures:
@@ -253,8 +255,8 @@ class TestTraceLeaf:
 
     def test_level_preserved(self, paper_web, free_box):
         leaf = trace_leaf(paper_web.foliation(3), (0.7, -0.3), 2.5, free_box, 3)
-        u3 = paper_web.foliation(3)
-        drift = max(abs(u3.value(p) - leaf.level) for p in leaf.vertices)
+        u3 = paper_web.foliation(3).program
+        drift = max(abs(jet_coeffs(u3, *p, order=1)[0] - leaf.level) for p in leaf.vertices)
         assert drift <= TOL_LEVEL
 
     def test_spacing_and_arcs(self, paper_web, free_box):
