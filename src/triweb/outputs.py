@@ -6,12 +6,19 @@ across runs, so its floats are quantized: rounded to 9 significant
 digits, with magnitudes below 1e-11 reported as 0.  Full-precision
 numbers always live in the CSVs.
 
+CSV fields are the bytes of ``'%.17g' % v``, computed exactly in numpy by
+``_g_text``: the 53-bit significand times 5**s (s <= 27) stays below 2**116
+in two 64-bit limbs, and a right shift of at most 63 bits rounds half to
+even on the exact remainder.  That covers zero and normal values from 1e-11
+to 1e17; Python's ``%`` prints the rest.  Rows go out _CHUNK_ROWS at a time.
+
 All writers are deterministic: identical inputs produce byte-identical
 files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -22,8 +29,11 @@ from .analysis import HexagonFigure
 from .web import Domain
 
 CSV_FLOAT_DIGITS = 17
+_CHUNK_ROWS = 8192  # CSV rows formatted per step
 _JSON_FLOOR = 1e-11
 _JSON_DIGITS = 9
+_U = np.uint64
+_POW5 = np.array([5**s for s in range(28)], _U)  # every 5**s below 2**63
 
 LEAF_HEADER = "foliation,level,arc,x,y"
 LEAF_IMAGE_HEADER = "foliation,level,arc,x,y,image"
@@ -66,22 +76,118 @@ def dump_json(obj: dict, path: Path | str) -> None:
     Path(path).write_text(text)
 
 
-def _write_csv(path: Path | str, header: str, blocks, footer: str = "") -> None:
-    """Write ``blocks`` as CSV lines under ``header``; ``footer`` ends the file.
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """ASCII of 0000..9999 as 4-byte words, then with trailing zeros as 0 bytes."""
+    i = np.arange(10000, dtype=np.uint16)[:, None]
+    text = (i // np.uint16([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    return np.r_[text, text * (i % np.uint16([10000, 1000, 100, 10]) > 0)].view(np.uint32).ravel()
 
-    Each block is ``(lead, table, trail)``: a 2-d array of the varying
-    columns, and the text of the constant columns before and after them,
-    formatted once by ``fmt``.  The table is turned into Python numbers
-    once and formatted by one ``%`` over the flat tuple, every field in the
-    form of ``fmt``.
-    """
-    field = f"%.{CSV_FLOAT_DIGITS}g"
-    with Path(path).open("w") as f:
-        f.write(header + "\n")
-        for lead, table, trail in blocks:
-            line = lead + ",".join([field] * table.shape[1]) + trail + "\n"
-            f.write(line * len(table) % tuple(table.ravel().tolist()))
-        f.write(footer)
+
+def _g_text(values, digits: int, out=None) -> np.ndarray:
+    """``'%.{digits}g' % v`` of each value (digits <= 17), as one row of ASCII
+    per value with 0 bytes to be dropped, anywhere in the row; written into
+    ``out`` when given, zeros of shape (len(values), 2 * digits + 9)."""
+    v = np.ascontiguousarray(values, dtype=float).ravel()
+    p, n, bits = digits, len(v), v.view(_U)
+    q = (bits >> _U(52)).astype(np.int64) & 0x7FF
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero: x = 0; inf, nan: out of range
+        x = np.nan_to_num(np.floor(np.log10(abs(v))), nan=999, posinf=999, neginf=0).astype(int)
+    # d: |v| * 10**s = m * 5**s / 2**shift with s = p - 1 - x, rounded half to even
+    s = p - 1 - x
+    shift = 1075 - q - s
+    ok = (s >= 0) & (s <= 27) & (shift <= 63)
+    s, shift = np.where(ok, s, 0), np.where(ok, shift, 0)
+    m = ((bits & _U(2**52 - 1)) | _U(2**52)) << np.maximum(-shift, 0).astype(_U)
+    r = np.maximum(shift, 0).astype(_U)
+    m0, m1, f0, f1 = m & _U(2**32 - 1), m >> _U(32), _POW5[s] & _U(2**32 - 1), _POW5[s] >> _U(32)
+    low, mid = m0 * f0, m0 * f1 + m1 * f0
+    lo = low + (mid << _U(32))
+    hi = m1 * f1 + (mid >> _U(32)) + (lo < low)
+    d = ((hi << (_U(63) - r)) << _U(1)) | (lo >> r)
+    twice, one = (lo & ((_U(1) << r) - _U(1))) << _U(1), _U(1) << r  # 2 * remainder, 2**r
+    ok &= (d >= _U(10 ** (p - 1))) & (d < _U(10**p))  # else log10 was one off, at a power of ten
+    d = np.where(ok, d + ((twice > one) | ((twice == one) & (d & _U(1) == 1))), 0)
+    carry = d == _U(10**p)  # rounded up to the next power of ten
+    d[carry] = _U(10 ** (p - 1))
+    x = x + carry
+    fallback = np.flatnonzero((d == 0) & ((bits << _U(1)) != 0))  # all but ok values and zeros
+    del s, shift, m, r, m0, m1, f0, f1, low, mid, lo, hi, twice, one  # before the digit arrays
+    # the last p of the 20 digits of d, trailing zeros as 0 bytes
+    words, table, bare = np.empty((n, 5), np.uint32), _digit_words(), np.full(n, 10000)
+    for i in range(4, -1, -1):
+        d, k = d // _U(10000), d  # k: the last four digits
+        k = (k - d * _U(10000)).astype(np.int64)
+        words[:, i] = table[k + bare]
+        bare[k != 0] = 0
+    dg, flat = words.view(np.uint8)[:, 20 - p :], words.view(np.uint8).ravel()
+    digit = np.arange(n) * 20 + (20 - p)  # each value's first digit in flat
+    # columns: sign, "0.000" before x < 0, digit k at 6 + 2k and its point, "e+xx"
+    out = np.zeros((n, 2 * p + 9), np.uint8) if out is None else out
+    out[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    out[:, 6 : 2 * p + 5 : 2] = dg
+    expo = (x < -4) | (x >= p)
+    # integers whose last digits are zeros (100, 0): those 0 bytes print as "0"
+    unit = np.flatnonzero(~expo & (x >= 0) & (flat[digit + np.clip(x, 0, p - 1)] == 0))
+    out[unit, 6 : 2 * p + 5 : 2] |= (np.arange(p) <= x[unit, None]) * np.uint8(48)
+    point = np.where(expo, 1, x + 1)  # digits before the point
+    rows = np.flatnonzero((point > 0) & (point < p) & (flat[digit + np.clip(point, 0, p - 1)] != 0))
+    out[rows, 5 + 2 * point[rows]] = ord(".")
+    zeros = np.where(~expo & (x < 0), -1 - x, -2)  # zeros after a leading "0.", -2 for none
+    for k, char in enumerate(b"0.000"):
+        out[:, 1 + k] = (zeros > k - 2) * np.uint8(char)
+    e = np.abs(x[expo])
+    out[expo, -4:] = np.c_[np.full_like(e, 101), 43 + 2 * (x[expo] < 0), 48 + e // 10, 48 + e % 10]
+    for i in fallback.tolist():
+        out[i] = np.frombuffer((b"%.*g" % (p, v[i])).ljust(out.shape[1], b"\0"), np.uint8)
+    return out
+
+
+def _csv_lines(pieces, distinct) -> bytearray:
+    """CSV lines of ``pieces``, lists of columns, every field in the form of
+    ``fmt``.  The columns numbered in ``distinct`` repeat their values, so
+    each of their distinct values (by bits: -0.0 is not 0.0) is formatted once."""
+    cols = [np.concatenate(c, dtype=float) for c in zip(*pieces)]
+    same = {}
+    for j in distinct:
+        bits = cols[j].view(np.int64)
+        u = np.sort(bits[np.r_[True, bits[1:] != bits[:-1]]])  # runs of one value first
+        u = u[np.r_[True, u[1:] != u[:-1]]]
+        text = _g_text(u.view(float), CSV_FLOAT_DIGITS)
+        same[j] = np.take(text[:, text.any(axis=0)], np.searchsorted(u, bits), axis=0)
+    widths = [same[j].shape[1] if j in same else 2 * CSV_FLOAT_DIGITS + 9 for j in range(len(cols))]
+    lines = bytearray(len(cols[0]) * (sum(widths) + len(widths)))
+    out = np.frombuffer(lines, np.uint8).reshape(len(cols[0]), -1)
+    end = 0
+    for j, w in enumerate(widths):
+        if j in same:
+            out[:, end : end + w] = same[j]
+        else:
+            _g_text(cols[j], CSV_FLOAT_DIGITS, out[:, end : end + w])
+        end += w + 1
+        out[:, end - 1] = 44  # ","
+    out[:, -1] = 10  # "\n"
+    del cols, same  # before translate copies the lines
+    return lines.translate(None, b"\0")
+
+
+def _write_csv(path: Path | str, header: str, blocks, distinct, footer: str = "") -> None:
+    """Write ``blocks``, tuples of columns of one length, as CSV lines under
+    ``header``, at most _CHUNK_ROWS rows at a time; ``footer`` ends the file."""
+    with Path(path).open("wb") as f:
+        f.write(f"{header}\n".encode())
+        pieces, size = [], 0
+        for columns in blocks:
+            for a in range(0, len(columns[0]), _CHUNK_ROWS):
+                piece = [c[a : a + _CHUNK_ROWS] for c in columns]
+                if size + len(piece[0]) > _CHUNK_ROWS:
+                    f.write(_csv_lines(pieces, distinct))
+                    pieces, size = [], 0
+                pieces.append(piece)
+                size += len(piece[0])
+        if pieces:
+            f.write(_csv_lines(pieces, distinct))
+        f.write(footer.encode())
 
 
 def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
@@ -91,47 +197,30 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
     image_flag) pairs when ``with_image`` is set.
     """
 
-    def block(leaf, image=None):
-        lead = f"{fmt(leaf.foliation)},{fmt(leaf.level)},"
-        trail = "," + fmt(image) if with_image else ""
-        return lead, np.column_stack((leaf.arcs, leaf.vertices)), trail
+    def block(leaf, *image):
+        fixed = [np.broadcast_to(c, len(leaf)) for c in (leaf.foliation, leaf.level, *image)]
+        return (*fixed[:2], leaf.arcs, *leaf.vertices.T, *fixed[2:])
 
     blocks = (block(*item) for item in leaves) if with_image else map(block, leaves)
-    _write_csv(path, LEAF_IMAGE_HEADER if with_image else LEAF_HEADER, blocks)
+    header, distinct = (LEAF_IMAGE_HEADER, (0, 1, 5)) if with_image else (LEAF_HEADER, (0, 1))
+    _write_csv(path, header, blocks, distinct)
 
 
 def write_curvature_csv(path: Path | str, xs, ys, kappa) -> None:
-    """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays.
-
-    Grid rows arrive one y at a time, so each run of bit-equal ``ys`` is
-    written by one ``%`` on a template holding that y's text; each
-    distinct x is formatted once.  Every field is in the form of ``fmt``.
-    """
-    xs, ys, kappa = (np.ascontiguousarray(a, dtype=float).ravel() for a in (xs, ys, kappa))
+    """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays."""
     if not len(xs) == len(ys) == len(kappa):
         raise ValueError(f"column lengths differ: {len(xs)}, {len(ys)}, {len(kappa)}")
-    ux, ix = np.unique(xs.view(np.int64), return_inverse=True)  # bits: -0.0 is not 0.0
-    xtext = [fmt(v) for v in ux.view(float).tolist()]
-    yb = ys.view(np.int64)
-    cuts = (np.flatnonzero(yb[1:] != yb[:-1]) + 1).tolist()
-    bounds = [0, *cuts, len(ys)] if len(ys) else []
-    with Path(path).open("w") as f:
-        f.write(CURVATURE_HEADER + "\n")
-        for s, e in zip(bounds, bounds[1:]):
-            fields = [None] * (2 * (e - s))
-            fields[::2] = [xtext[i] for i in ix[s:e].tolist()]
-            fields[1::2] = kappa[s:e].tolist()
-            f.write(("%s," + fmt(ys[s]) + f",%.{CSV_FLOAT_DIGITS}g\n") * (e - s) % tuple(fields))
+    _write_csv(path, CURVATURE_HEADER, [(xs, ys, kappa)], (0, 1))
 
 
 def write_hexagon_legs_csv(path: Path | str, figure: HexagonFigure) -> None:
     """Leg paths (leg 0 is the radius walk) plus a defect summary line."""
-    blocks = ((fmt(i) + ",", leg, "") for i, leg in enumerate(figure.legs))
-    _write_csv(path, HEXAGON_LEGS_HEADER, blocks, footer=f"defect={fmt(figure.defect)}\n")
+    blocks = ((np.broadcast_to(i, len(leg)), *leg.T) for i, leg in enumerate(figure.legs))
+    _write_csv(path, HEXAGON_LEGS_HEADER, blocks, (0,), f"defect={fmt(figure.defect)}\n")
 
 
 def write_defect_table_csv(path: Path | str, radii, defects) -> None:
-    _write_csv(path, DEFECT_TABLE_HEADER, [("", np.column_stack((radii, defects)), "")])
+    _write_csv(path, DEFECT_TABLE_HEADER, [(radii, defects)], (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,23 @@ class TestDeterminism:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
         assert got == want
 
+    # SHA-256 of the hexagon CSVs and of a trace leaf CSV (no image column),
+    # in tests/golden
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["hexagon", "--builtin", "paper", "--center", "0.3", "-0.4", "--radii", "0.2", "0.1"],
+             ["hexagon.csv", "hexagon_legs_0.csv", "hexagon_legs_1.csv"]),
+            (["trace", "--builtin", "paper", "--foliation", "3"], ["leaves_f3.csv"]),
+        ],
+    )
+    def test_csv_outputs_match_golden(self, tmp_path, argv, names):
+        pins = (ROOT / "tests" / "golden" / "cli-outputs.sha256").read_text().splitlines()
+        want = dict(reversed(line.split()) for line in pins)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+        assert got == {name: want[name] for name in names}
+
 
 class TestAnalyze:
     def test_paper(self, tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from triweb.outputs import (
     _FOLIATION_COLORS,
+    _g_text,
     dump_json,
     fmt,
     write_curvature_csv,
@@ -36,6 +39,99 @@ class TestFloatFormat:
     def test_integers_stay_short(self):
         assert fmt(-1.0) == "-1"
         assert fmt(0.0) == "0"
+
+
+def kernel_texts(values, digits):
+    """The texts of _g_text, its rows with their 0 bytes dropped."""
+    rows = _g_text(np.asarray(values, dtype=float), digits)
+    lines = np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1)
+    return lines.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+def assert_like_percent(values, digits):
+    """_g_text prints every value as ``'%.{digits}g' %`` does."""
+    values = np.asarray(values, dtype=float)
+    want = [f"%.{digits}g" % v for v in values.tolist()]
+    got = kernel_texts(values, digits)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    return np.concatenate([p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)])
+
+
+class TestGText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        for digits in (17, 6):
+            assert_like_percent(values, digits)
+
+    @pytest.mark.parametrize("digits", [17, 6])
+    def test_random_bit_patterns(self, digits):
+        bits = np.random.default_rng(20260419).integers(0, 2**64, 200_000, dtype=np.uint64)
+        assert_like_percent(bits.view(float), digits)
+
+    @pytest.mark.parametrize("digits", [17, 6])
+    def test_every_decade_of_the_fast_range_and_beyond(self, digits):
+        rng = np.random.default_rng(20260420)
+        assert_like_percent(rng.choice([-1, 1], 100_000) * 10 ** rng.uniform(-13, 19, 100_000), digits)
+
+    @pytest.mark.parametrize("digits", [17, 6])
+    def test_powers_of_ten_and_neighbours(self, digits):
+        assert_like_percent(_powers_of_ten(), digits)
+
+    def test_exact_ties(self):
+        odd = 2 * np.random.default_rng(7).integers(0, 2**24, 50_000) + 1
+        assert_like_percent(odd / 2**17, 17)
+        assert_like_percent(odd / 2**4, 6)
+
+    @pytest.mark.parametrize("digits", [17, 6])
+    def test_form_switch_points(self, digits):
+        edges = np.array([1e-5, 1e-4, 1e16, 1e17, 10.0**digits, 10.0 ** (digits - 1)])
+        near = [np.nextafter(edges, 0), edges, np.nextafter(edges, np.inf)]
+        assert_like_percent(np.concatenate(near + [-e for e in near]), digits)
+
+    def test_rounding_up_to_a_power_of_ten(self):
+        k = np.arange(-11, 17)
+        assert_like_percent(10.0**k * (1 - 3e-7), 6)
+        assert_like_percent([9.9999995, 999999.5, 0.000999999951, 99999.99999999999], 6)
+        # the doubles just below each power of ten, at 17 digits
+        assert_like_percent(np.nextafter(10.0**k, 0), 17)
+        assert kernel_texts([9.9999995, 999999.5], 6) == ["10", "1e+06"]
+
+    def test_zeros_and_specials(self):
+        values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308]
+        for digits in (17, 6):
+            assert_like_percent(values, digits)
+        assert kernel_texts([0.0, -0.0], 17) == ["0", "-0"]
+
+
+class TestWriterMemory:
+    # chunked writers: working memory stays bounded however many rows
+    BOUND = 8 * 2**20
+
+    def peak(self, write, *args):
+        write(os.devnull, *args)
+        tracemalloc.start()
+        try:
+            write(os.devnull, *args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_curvature_csv_of_250k_rows(self):
+        g = np.linspace(-2, 2, 500)
+        xs, ys = np.tile(g, 500), np.repeat(g, 500)
+        assert self.peak(write_curvature_csv, xs, ys, xs * ys - 0.5) < self.BOUND
+
+    def test_leaf_csv_of_one_long_leaf(self):
+        t = np.linspace(0.0, 2000.0, 200_001)
+        leaf = LeafPolyline.from_vertices(1, 0.5, np.column_stack((np.cos(t), 0.3 * np.sin(t))))
+        assert self.peak(write_leaf_csv, [leaf]) < self.BOUND
+        assert self.peak(write_leaf_csv, [(leaf, 1)], True) < self.BOUND
 
 
 class TestJsonQuantization:
