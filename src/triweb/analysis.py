@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
 from .kernels import jet_coeffs
-from .web import H_STEP, Survey, ThreeWeb, _GradCollapse, _walk, _walk_arc
+from .web import H_STEP, Survey, ThreeWeb, _GradCollapse, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
@@ -168,9 +168,8 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     the arc parameter.  Returns the endpoint and the walked path.
     """
     domain = web.domain
-    leg = web.foliation(leg_index)
-    leg_jet = leg.program.at_point[1]
-    tgt_jet = web.foliation(target_index).program.at_point[1]
+    leg, target = web.foliation(leg_index), web.foliation(target_index)
+    leg_jet, tgt_jet = leg.program.at_point[1], target.program.at_point[1]
     x0, y0 = start
     leg_level, gx0, gy0 = leg_jet(x0, y0)
     phi0 = tgt_jet(x0, y0)[0] - target_level
@@ -180,19 +179,14 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
         )
 
     n_steps = max(1, int(max_arc / H_STEP + 1e-12))
+    walk = domain.walker(leg, "crossed", target)
     bracket = None  # (steps to the crossing, signed h, path, phi before it)
     for h in (H_STEP, -H_STEP):
-        phis = [phi0]
-
-        def crossed(k, x, y):
-            phis.append(tgt_jet(x, y)[0] - target_level)
-            return phis[-2] * phis[-1] <= 0.0
-
         # only a crossing nearer than the one found can replace it
         steps = itertools.repeat(h, n_steps if bracket is None else bracket[0] - 1)
-        pts, stop, _ = _walk(leg, leg_level, start, (gx0, gy0), steps, domain, crossed)
-        if stop == "stop":
-            bracket = (len(pts), h, [start] + pts, phis[-2])
+        pts, stop, phi = walk(x0, y0, gx0, gy0, steps, leg_level, target_level, phi0)
+        if stop == "crossed":
+            bracket = (len(pts), h, [start] + pts, phi)
     if bracket is None:
         raise HexagonError(
             f"leg {leg_index}->{target_index} found no crossing of its target "

@@ -8,8 +8,9 @@ be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
 and gradient, the first three slots, computed by the same expressions so
 they agree bit for bit).  Single points run on Python floats
 (:func:`jet_coeffs`) and batches on numpy arrays (:func:`jet_coeffs_many`),
-each at either order; ``Program.inline`` binds caller code with the
-order-1 body inlined at its own points.  All call numpy's elementary
+each at either order; :func:`inline_source` pastes the order-1 bodies
+of one or more programs into caller code at its own points, and
+:func:`bind_inline` binds the result.  All call numpy's elementary
 functions, so a batch row equals the single-point result bit for bit.
 Every op checks its domain and the finiteness of the slots it computes:
 a point raises :class:`EvalDomainError` naming the op's source fragment,
@@ -68,8 +69,7 @@ _UNARY = {
 }
 _LOCAL = re.compile(r"\b(v|g[0-3]|r|s)\b")
 _TEMP = re.compile(r"t\d+")
-_JET_NAME = re.compile(r"\b(x|y|t\d+)\b")
-_JET_SITE = re.compile(r"^( *)(.+) = jet\((\w+), (\w+)\)$", re.M)
+_JET_NAME = re.compile(r"\b(x|y|t\d+|fail)\b")
 
 
 def _lit(v: float) -> str:
@@ -287,7 +287,9 @@ class Program:
     source: str  # printable form of the whole expression
     at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
     on_arrays: dict = field(repr=False, compare=False)  # order -> jet(x, y, check)
-    inline: Callable = field(repr=False, compare=False)  # (template, names, name) -> function
+    point_code: str = field(repr=False, compare=False)  # source of at_point[1]
+    fail: Callable = field(repr=False, compare=False)  # fail(code, k, x, y) raises
+    constant_gradient: tuple | None = field(repr=False, compare=False)  # literal (u_x, u_y)
 
 
 @lru_cache(maxsize=256)
@@ -305,24 +307,32 @@ def _bind(code: str, names: dict, name: str = "jet") -> Callable:
     return namespace[name]
 
 
-def _inline(jet: str, point_names: dict, template: str, names: dict, name: str) -> Callable:
-    """Bind the function ``name`` of ``template``, each of whose lines
-    ``<targets> = jet(a, b)`` is replaced by the order-1 jet body at the
-    point (a, b), its temps renamed per site and its slots assigned to the
-    targets.  The checks call the same ``fail``, so an error names the
-    fragment and point that the point binding would."""
-    _, *body, ret = jet.splitlines()
-    sites = itertools.count(1)
+def inline_source(template: str, codes: dict) -> str:
+    """``template`` with each line ``<targets> = <site>(a, b)``, for a site
+    named in ``codes``, replaced by the order-1 point jet source codes[site]
+    at the point (a, b): its temps renamed per line, its checks calling
+    ``<site>_fail`` and its slots assigned to the targets."""
+    sites = re.compile(rf"^( *)(.+) = ({'|'.join(codes)})\((\w+), (\w+)\)$", re.M)
+    numbers = itertools.count(1)
 
     def expand(m):
-        indent, targets, a, b = m.groups()
-        site = next(sites)
-        rename = partial(_JET_NAME.sub, lambda n: {"x": a, "y": b}.get(n[0], f"{n[0]}_{site}"))
-        lines = [indent + rename(line.strip()) for line in body]
+        indent, targets, site, a, b = m.groups()
+        k, names = next(numbers), {"x": a, "y": b, "fail": f"{site}_fail"}
+        rename = partial(_JET_NAME.sub, lambda n: names.get(n[0], f"{n[0]}_{k}"))
+        _, *body, ret = codes[site].splitlines()
+        lines = [indent + rename(stmt.strip()) for stmt in body]
         slots = rename(ret.strip().removeprefix("return "))
         return "\n".join(lines + [f"{indent}{targets} = {slots}"])
 
-    return _bind(_JET_SITE.sub(expand, template), dict(point_names, **names), name)
+    return sites.sub(expand, template)
+
+
+def bind_inline(code: str, programs: dict, names: dict, name: str) -> Callable:
+    """Bind the function ``name`` of ``code``, made by :func:`inline_source`
+    from ``programs`` (site -> Program): each site's checks call its program's
+    ``fail``, so an error names the fragment and point the point jet would."""
+    fails = {f"{site}_fail": p.fail for site, p in programs.items()}
+    return _bind(code, dict(_POINT_NAMES, **fails, **names), name)
 
 
 def compile_expr(e: Expr | str, source: str | None = None) -> Program:
@@ -345,8 +355,9 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
         for em, result in zip(emitters, results)
     }
     source = source if source is not None else to_text(e)
-    inline = partial(_inline, point_code[1], point_names)
-    return Program(frags, source, at_point, on_arrays, inline)
+    grad = results[0][1:]
+    grad = None if any(isinstance(v, str) for v in grad) else grad
+    return Program(frags, source, at_point, on_arrays, point_code[1], fail, grad)
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:

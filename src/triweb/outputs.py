@@ -148,13 +148,16 @@ def _csv_lines(pieces, distinct) -> bytearray:
     ``fmt``.  The columns numbered in ``distinct`` repeat their values, so
     each of their distinct values (by bits: -0.0 is not 0.0) is formatted once."""
     cols = [np.concatenate(c, dtype=float) for c in zip(*pieces)]
-    same = {}
+    uniques = []
     for j in distinct:
         bits = cols[j].view(np.int64)
         u = np.sort(bits[np.r_[True, bits[1:] != bits[:-1]]])  # runs of one value first
-        u = u[np.r_[True, u[1:] != u[:-1]]]
-        text = _g_text(u.view(float), CSV_FLOAT_DIGITS)
-        same[j] = np.take(text[:, text.any(axis=0)], np.searchsorted(u, bits), axis=0)
+        uniques.append(u[np.r_[True, u[1:] != u[:-1]]])
+    # one kernel call for every distinct column: its fixed cost dominates short files
+    texts = _g_text(np.concatenate(uniques).view(float), CSV_FLOAT_DIGITS)
+    ends = np.cumsum([u.size for u in uniques])[:-1]
+    same = {j: text[:, text.any(axis=0)][u.searchsorted(cols[j].view(np.int64))]
+            for j, u, text in zip(distinct, uniques, np.split(texts, ends))}
     widths = [same[j].shape[1] if j in same else 2 * CSV_FLOAT_DIGITS + 9 for j in range(len(cols))]
     lines = bytearray(len(cols[0]) * (sum(widths) + len(widths)))
     out = np.frombuffer(lines, np.uint8).reshape(len(cols[0]), -1)

@@ -6,12 +6,16 @@ set u = const.  Leaves are traced by a classical fourth-order
 Runge-Kutta walk at fixed arc step along the unit tangent
 (du/dy, -du/dx)/|grad u|, with a Newton projection back onto the level
 set after every step, so the level invariant holds to tight tolerance
-regardless of integrator drift.  Each foliation generates that step as
-one straight-line function with its jets inlined (``Foliation.advance``).
+regardless of integrator drift.  One generated function per walk
+(``Domain.walker``) inlines that step, the box test, the exclusion's jet
+and one stop test: a failing integral jet ends the walk as "domain_exit",
+a failing exclusion jet as "boundary", and a failing target jet raises.
+Constant gradients are folded by the same float operations, bit for bit,
+and the text is cached by the strings it is built from, never by webs.
 
-All types are immutable after construction and every operation is pure;
-batch work over seeds or grid points can run concurrently without
-coordination.
+All types are immutable after construction, but for a domain's bound
+walkers, and every operation is pure; batch work over seeds or grid
+points can run concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,7 +32,9 @@ from .expr import Expr, depends_on_y, is_var_x, is_var_y, parse, to_text
 from .kernels import (
     ERR_OK,
     Program,
+    bind_inline,
     compile_expr,
+    inline_source,
     jet_coeffs,
     jet_coeffs_many,
     jet_coeffs_or_raise,
@@ -48,42 +54,113 @@ DEFAULT_MARGIN = 0.05
 
 
 class _GradCollapse(Exception):
-    """Internal: gradient norm fell below EPS_GRAD mid-walk."""
+    """Internal: gradient norm fell below EPS_GRAD in ``Foliation.advance``."""
 
 
-def _advance_source() -> str:
-    """The leaf stepper, one per foliation: advance(x, y, gx, gy, h, level)
-    takes the gradient (gx, gy) at (x, y), makes one RK4 step of signed arc
-    h along the unit tangent (u_y, -u_x)/|grad u|, projects back onto
-    u = level by at most PROJ_MAX_ITER Newton steps along the gradient, and
-    returns the new point, the gradient there and whether it meets its
-    level.  Each line
-    "... = jet(a, b)" becomes the order-1 jet inlined at (a, b).  The
-    projection's last jet is taken at the returned point, so its gradient
-    serves as the next step's first RK4 stage."""
+def _step(fold, done: str, stall: str, collapse: str) -> list[str]:
+    """The lines of one RK4 step of signed arc h from (x, y), where the
+    gradient is (gx, gy), along the unit tangent (u_y, -u_x)/|grad u|, and
+    at most PROJ_MAX_ITER Newton steps back onto u = level.  They end in
+    ``done`` with the new point in (px, py) and its gradient in (gx, gy), so
+    the next step needs no first jet; in ``stall`` when that point misses
+    its level; in ``collapse`` when |grad u| < EPS_GRAD.  Each "... = jet(a,
+    b)" stands for the order-1 jet at (a, b).  A constant gradient ``fold``
+    has its norm, tangent and Newton denominator computed here, by the same
+    float operations, unless the step must collapse at run time."""
+    if fold is not None:
+        gx, gy = fold
+        n, n2 = math.hypot(gx, gy), gx * gx + gy * gy
+        if not (EPS_GRAD <= n < math.inf and n2 >= EPS_GRAD * EPS_GRAD):
+            fold = None
 
     def tangent(k):
-        return ["n = hypot(gx, gy)", f"if n < {EPS_GRAD!r}: raise GradCollapse",
+        if fold is not None:
+            return [f"t{k}x, t{k}y = {gy / n!r}, {-gx / n!r}"]
+        return ["n = hypot(gx, gy)", f"if n < {EPS_GRAD!r}: {collapse}",
                 f"t{k}x, t{k}y = gy / n, -gx / n"]
 
-    body = ["if h == 0.0: return x, y, gx, gy, True", *tangent(1)]
+    body = tangent(1)
     for k, c in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
         body += [f"sx, sy = x + {c} * t{k - 1}x, y + {c} * t{k - 1}y",
                  "u, gx, gy = jet(sx, sy)", *tangent(k)]
     body += ["px = x + h / 6.0 * (t1x + 2.0 * t2x + 2.0 * t3x + t4x)",
              "py = y + h / 6.0 * (t1y + 2.0 * t2y + 2.0 * t3y + t4y)"]
+    newton = ["u, gx, gy = jet(px, py)", "r = u - level", f"if abs(r) <= {PROJ_TOL!r}: {done}",
+              f"if _ == {PROJ_MAX_ITER}:", f"    if abs(r) <= {TOL_LEVEL!r}: {done}",
+              f"    {stall}"]
+    if fold is None:
+        newton += ["n2 = gx * gx + gy * gy", f"if n2 < {EPS_GRAD * EPS_GRAD!r}: {collapse}"]
+    d = "n2" if fold is None else repr(n2)
+    newton += [f"px -= r * gx / {d}", f"py -= r * gy / {d}", "_ += 1"]
     # a counted while loop: "for _ in range(...)" costs about 0.2 us per step
-    body += ["_ = 0", "while True:"] + [f"    {b}" for b in (
-        "u, gx, gy = jet(px, py)", "r = u - level",
-        f"if abs(r) <= {PROJ_TOL!r}: return px, py, gx, gy, True",
-        f"if _ == {PROJ_MAX_ITER}: return px, py, gx, gy, abs(r) <= {TOL_LEVEL!r}",
-        "n2 = gx * gx + gy * gy", f"if n2 < {EPS_GRAD * EPS_GRAD!r}: raise GradCollapse",
-        "px -= r * gx / n2", "py -= r * gy / n2", "_ += 1")]
-    return "def advance(x, y, gx, gy, h, level):\n" + "".join(f"    {b}\n" for b in body)
+    return body + ["_ = 0", *_block("while True:", newton)]
 
 
-_ADVANCE = _advance_source()
-_ADVANCE_NAMES = {"hypot": math.hypot, "GradCollapse": _GradCollapse}
+def _block(head: str, lines: list[str]) -> list[str]:
+    return [head, *(f"    {line}" for line in lines)]
+
+
+def _advance_source(fold) -> str:
+    """The leaf stepper, one per foliation: advance(x, y, gx, gy, h, level)
+    makes the step of ``_step`` and returns the new point, the gradient
+    there and whether it meets its level."""
+    ret = "return px, py, gx, gy,"
+    return "\n".join(_block("def advance(x, y, gx, gy, h, level):", [
+        "if h == 0.0: return x, y, gx, gy, True",
+        *_step(fold, f"{ret} True", f"{ret} False", "raise GradCollapse")]))
+
+
+# stop kind -> (extra arguments, lines before the walk, the test of each new point)
+_STOPS = {
+    None: ("", [], []),
+    "closed": ("", ["x0, y0 = x, y"], [  # back within one step of the seed after three
+        f"if hypot(px - x0, py - y0) < {H_STEP!r} and len(pts) >= 3:",
+        "    return pts, 'closed', (px, py)"]),
+    "crossed": (", tlevel, phi", [], [
+        "tu, tx, ty = target(px, py)", "q = tu - tlevel",
+        "if phi * q <= 0.0: return pts, 'crossed', phi", "phi = q"]),
+}
+
+
+def _walker_source(fold, stop: str | None, exclude: bool) -> str:
+    """The leaf walker: walk(x, y, gx, gy, steps, level[, tlevel, phi])
+    walks the leaf u = level from (x, y), where the gradient is (gx, gy), by
+    the nonzero signed arc lengths ``steps``.  A new point must lie in the
+    box and, with ``exclude``, where the exclusion's jet succeeds with
+    |value| >= margin; the box edges and margin are bound names.  Returns
+    the points after (x, y), why the walk ended and where: None, with the
+    last point; "boundary" at an inadmissible point; "domain_exit" with the
+    integral's EvalDomainError; "gradient_collapse" with the point before
+    the step; "projection_stall" with the point off its level; "closed" at
+    the first point from the third on within H_STEP of (x, y); "crossed"
+    where the target offset u_t - tlevel is zero or changes sign, with the
+    offset at the point before (phi at the start).  A target jet raises."""
+    args, start, test = _STOPS[stop]
+    boundary = "return pts, 'boundary', (px, py)"
+    step = _step(fold, "break", "return pts, 'projection_stall', (px, py)",
+                 "return pts, 'gradient_collapse', (x, y)")
+    loop = [*_block("try:", step), "except EvalDomainError as exc:",
+            "    return pts, 'domain_exit', exc",
+            f"if not (xmin <= px <= xmax and ymin <= py <= ymax): {boundary}"]
+    if exclude:
+        loop += ["try:", "    e, ex, ey = exclude(px, py)", "except EvalDomainError:",
+                 f"    {boundary}", f"if not abs(e) >= margin: {boundary}"]
+    loop += ["append((px, py))", "x, y = px, py", *test]
+    return "\n".join(_block(f"def walk(x, y, gx, gy, steps, level{args}):", [
+        "pts = []", "append = pts.append", *start, *_block("for h in steps:", loop),
+        "return pts, None, (x, y)"]))
+
+
+@lru_cache(maxsize=64)
+def _walker_text(fold, stop: str | None, codes: tuple) -> str:
+    """The walker of the point jet sources ``codes``, (site, source) pairs;
+    keyed by strings (``fold`` follows from the "jet" source), so that a new
+    web of the same integrals only binds it and no web is kept alive."""
+    codes = dict(codes)
+    return inline_source(_walker_source(fold, stop, "exclude" in codes), codes)
+
+
+_NAMES = {"hypot": math.hypot, "GradCollapse": _GradCollapse, "EvalDomainError": EvalDomainError}
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +215,35 @@ class Domain:
         if not 0 <= self.margin < math.inf:
             raise ConfigError(f"exclusion margin must be finite and >= 0, got {self.margin}")
         prog = compile_expr(self.exclude) if self.exclude is not None else None
-        jet, margin = prog.at_point[1] if prog else None, self.margin
-
-        def inside(x: float, y: float) -> bool:  # bound once: the walker calls it per step
-            if not (xmin <= x <= xmax and ymin <= y <= ymax):
-                return False
-            if jet is None:
-                return True
-            try:
-                return abs(jet(x, y)[0]) >= margin
-            except EvalDomainError:
-                return False
-
         object.__setattr__(self, "_exclude_program", prog)
-        object.__setattr__(self, "_inside", inside)
+        object.__setattr__(self, "_walkers", {})
 
     @property
     def exclude_program(self) -> Program | None:
         return self._exclude_program
 
     def admissible(self, p) -> bool:
-        return self._inside(float(p[0]), float(p[1]))
+        x, y = float(p[0]), float(p[1])
+        xmin, xmax, ymin, ymax = self.box
+        try:
+            return xmin <= x <= xmax and ymin <= y <= ymax and (
+                self._exclude_program is None
+                or abs(self._exclude_program.at_point[1](x, y)[0]) >= self.margin)
+        except EvalDomainError:
+            return False
+
+    def walker(self, fol: Foliation, stop: str | None = None, target: Foliation | None = None):
+        """The walker (see ``_walker_source``) of the leaves of ``fol`` here, with stop
+        None, "closed" or "crossed" (the level sets of ``target``); bound on first use."""
+        key = (fol.program, stop, target and target.program)
+        if key not in self._walkers:
+            programs = dict(jet=fol.program, exclude=self._exclude_program, target=key[2])
+            programs = {site: p for site, p in programs.items() if p is not None}
+            codes = tuple((site, p.point_code) for site, p in programs.items())
+            text = _walker_text(fol.program.constant_gradient, stop, codes)
+            names = dict(zip(("xmin", "xmax", "ymin", "ymax"), self.box), margin=self.margin)
+            self._walkers[key] = bind_inline(text, programs, dict(_NAMES, **names), "walk")
+        return self._walkers[key]
 
     def admissible_mask(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -207,8 +292,10 @@ class Foliation:
     @cached_property
     def advance(self):
         """The generated leaf stepper (see ``_advance_source``), built on
-        first use, since only tracing and hexagons need it."""
-        return self._program.inline(_ADVANCE, _ADVANCE_NAMES, "advance")
+        first use, since only hexagons need it."""
+        prog = self._program
+        text = inline_source(_advance_source(prog.constant_gradient), {"jet": prog.point_code})
+        return bind_inline(text, {"jet": prog}, _NAMES, "advance")
 
     @property
     def program(self) -> Program:
@@ -422,37 +509,6 @@ class LeafPolyline:
         return cls(foliation, level, vertices, np.concatenate(([0.0], np.cumsum(seg))), flags)
 
 
-def _walk(fol: Foliation, level: float, p0, grad, steps, domain: Domain, stop=None):
-    """Walk the leaf u = level of ``fol`` from ``p0``, where the gradient is
-    ``grad``, by the signed arc lengths ``steps``.
-
-    Returns the points after ``p0`` and why the walk ended: None when it
-    took every step; "boundary" at the edge of the admissible domain;
-    "stop" when ``stop(k, x, y)`` holds for the k-th point (x, y), counting
-    from 1; else the truncation flag.  The third item is the point the walk
-    stopped at, or the EvalDomainError of "domain_exit".
-    """
-    advance, inside = fol.advance, domain._inside
-    (x, y), (gx, gy) = p0, grad
-    pts: list[tuple[float, float]] = []
-    for k, ds in enumerate(steps, 1):
-        try:
-            xn, yn, gx, gy, converged = advance(x, y, gx, gy, ds, level)
-        except _GradCollapse:
-            return pts, "gradient_collapse", (x, y)
-        except EvalDomainError as exc:
-            return pts, "domain_exit", exc
-        if not converged:
-            return pts, "projection_stall", (xn, yn)
-        if not inside(xn, yn):
-            return pts, "boundary", (xn, yn)
-        pts.append((xn, yn))
-        x, y = xn, yn
-        if stop is not None and stop(k, x, y):
-            return pts, "stop", (x, y)
-    return pts, None, (x, y)
-
-
 def trace_leaf(
     fol: Foliation,
     p0,
@@ -478,16 +534,11 @@ def trace_leaf(
         raise TraceError("max_arc must be positive")
     n_steps = int(max_arc / H_STEP + 1e-12)
 
-    def closed(k, x, y):  # back within one step of the seed after three
-        return k >= 3 and math.hypot(x - x0, y - y0) < H_STEP
-
-    walk = (fol, level, (x0, y0), c0[1:])
-    fwd, flag_f, _ = _walk(*walk, itertools.repeat(H_STEP, n_steps), domain, closed)
+    start = (x0, y0, c0[1], c0[2])
+    fwd, flag_f, _ = domain.walker(fol, "closed")(*start, itertools.repeat(H_STEP, n_steps), level)
     bwd, flag_b = [], None
-    if flag_f == "stop":
-        flag_f = "closed"
-    else:
-        bwd, flag_b, _ = _walk(*walk, itertools.repeat(-H_STEP, n_steps), domain)
+    if flag_f != "closed":
+        bwd, flag_b, _ = domain.walker(fol)(*start, itertools.repeat(-H_STEP, n_steps), level)
 
     pts = list(reversed(bwd)) + [(x0, y0)] + fwd
     flags = [
@@ -519,7 +570,7 @@ def _walk_arc(fol: Foliation, jet, p0, arc: float, domain: Domain):
     steps = itertools.chain(
         itertools.repeat(h, n_full), [math.copysign(rest, arc)] if rest > 1e-12 else []
     )
-    pts, stop, at = _walk(fol, jet[0], p0, jet[1:], steps, domain)
+    pts, stop, at = domain.walker(fol)(p0[0], p0[1], jet[1], jet[2], steps, jet[0])
     if stop == "domain_exit":
         raise at
     if stop is not None:

@@ -7,17 +7,21 @@ origin is the straight line y = -x (level 0); both follow from solving
 """
 
 import dataclasses
+import gc
 import io
 import math
 import re
 import tokenize
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import triweb.cli
 import triweb.kernels
+import triweb.web
 from conftest import overlap_hausdorff
 from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
@@ -36,7 +40,9 @@ from triweb.web import (
     Foliation,
     Survey,
     ThreeWeb,
+    _advance_source,
     _GradCollapse,
+    _walker_source,
     builtin_web,
     family_web,
     general_position_report,
@@ -431,6 +437,8 @@ _STEPPER_WEBS = {
     "paper": builtin_web("paper").foliations,
     "family": family_web("1+x", "exp(x)").foliations,
     "sqrt": (Foliation(parse("x")), Foliation(parse("y")), Foliation(parse("y+sqrt(x+1)"))),
+    # constant gradients: the first two are folded, 1e-7*x is below EPS_GRAD
+    "affine": tuple(Foliation(parse(u)) for u in ("x-2*y", "0.5*x+y", "1e-7*x")),
 }
 
 
@@ -492,28 +500,273 @@ class TestStepperMatchesReference:
         assert got == want
         assert got[4] is False
 
+    def test_gradient_below_eps_collapses_unfolded(self):
+        fol = _STEPPER_WEBS["affine"][2]
+        assert fol.program.constant_gradient == (1e-7, 0.0)
+        assert _walk_both(fol, (0.3, 0.2), [H_STEP]) == [(["gradient collapse"],) * 2]
+
+    def test_fold_keeps_a_failing_newton_check(self):
+        # |grad u| >= EPS_GRAD, but gx * gx + gy * gy < EPS_GRAD^2: off its
+        # level, the first Newton step must collapse
+        fol = Foliation(parse("9.967311300555508e-08*x+9.950202362483798e-07*y"))
+        gx, gy = fol.program.constant_gradient
+        assert math.hypot(gx, gy) >= EPS_GRAD and gx * gx + gy * gy < EPS_GRAD**2
+        got = _outcome(lambda: fol.advance(0.0, 0.0, gx, gy, H_STEP, 1e-9))
+        want = _outcome(lambda: reference_advance(fol.program, 1e-9, 0.0, 0.0, H_STEP))
+        assert got == want == ["gradient collapse"]
+
+    @pytest.mark.parametrize("text,folded", [("x", True), ("x-2*y", True), ("1e-7*x", False)])
+    def test_constant_gradients_fold(self, text, folded):
+        fold = Foliation(parse(text)).program.constant_gradient
+        for source in (_advance_source(fold), _walker_source(fold, None, False)):
+            assert ("hypot" in source) is not folded
+            assert ("n2 = gx * gx + gy * gy" in source) is not folded
+
     def test_source_holds_only_generated_names_and_literals(self, monkeypatch):
         sources = []
         bind = triweb.kernels._bind
 
         def spy(code, names, name="jet"):
-            if name == "advance":
+            if name in ("advance", "walk"):
                 sources.append(code)
             return bind(code, names, name)
 
         monkeypatch.setattr(triweb.kernels, "_bind", spy)
-        for text in ("(x+y)*exp(-x)", "y+sqrt(x+1)", "ln(2+x)/(2+y)", "x^-2+2^x", "sin(x)*cos(y)"):
-            Foliation(parse(text)).advance
-        assert len(sources) == 5
-        bound = {"def", "if", "return", "raise", "True", "advance", "abs", "hypot",
-                 "GradCollapse", "fail", "exp", "log", "sin", "cos", "sqrt", "inf", "nan",
+        target = Foliation(parse("sin(x)+y"))
+        texts = ("(x+y)*exp(-x)", "y+sqrt(x+1)", "ln(2+x)/(2+y)", "x^-2+2^x", "sin(x)*cos(y)", "x")
+        for text in texts:
+            fol = Foliation(parse(text))
+            fol.advance
+            domain = Domain((-1.5, 1.5, -1.0, 1.0), parse("ln(3+x)-y"), 0.01)
+            for stop in (None, "closed", "crossed"):
+                domain.walker(fol, stop, target if stop == "crossed" else None)
+        assert len(sources) == 4 * len(texts)
+        bound = {"def", "if", "return", "raise", "True", "False", "advance", "abs", "hypot",
+                 "GradCollapse", "exp", "log", "sin", "cos", "sqrt", "inf", "nan",
                  "while", "_"}
+        # the walkers: control flow, their arguments and bound names, and one
+        # fail per inlined program
+        bound |= {"walk", "for", "in", "try", "except", "as", "break", "not", "and", "None",
+                  "len", "append", "pts", "steps", "exc", "EvalDomainError", "xmin", "xmax",
+                  "ymin", "ymax", "margin", "x0", "y0", "tlevel", "phi", "q", "tu", "tx", "ty",
+                  "e", "ex", "ey", "jet_fail", "exclude_fail", "target_fail"}
+        reasons = {"'boundary'", "'domain_exit'", "'gradient_collapse'", "'projection_stall'",
+                   "'closed'", "'crossed'"}
         generated = re.compile(r"[xy]|[gsp][xy]|h|level|[unr]|n2|t\d+[xy]|t\d+_\d+")
         for code in sources:
-            assert code.count("= jet(") == 0
+            assert not re.search(r"= (jet|exclude|target)\(", code)
             for tok in tokenize.generate_tokens(io.StringIO(code).readline):
-                assert tok.type != tokenize.STRING, tok
-                if tok.type == tokenize.NAME:
+                if tok.type == tokenize.STRING:
+                    assert tok.string in reasons, tok
+                elif tok.type == tokenize.NAME:
                     assert tok.string in bound or generated.fullmatch(tok.string), tok
                 elif tok.type == tokenize.NUMBER:
                     float(tok.string)
+
+
+# ---------------------------------------------------------------------------
+# The generated walker against the Python walk loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_walk(fol, domain, level, p0, steps, stop=None):
+    """Walk the leaf u = level of ``fol`` from ``p0`` by ``steps`` with the
+    reference stepper, admitting points by ``Domain.admissible``.  ``stop(k,
+    x, y)``, on the k-th point from 1, may end the walk with (reason, where)."""
+    x, y = p0
+    pts = []
+    for k, ds in enumerate(steps, 1):
+        try:
+            xn, yn, converged = reference_advance(fol.program, level, x, y, ds)
+        except _GradCollapse:
+            return pts, "gradient_collapse", (x, y)
+        except EvalDomainError as exc:
+            return pts, "domain_exit", exc
+        if not converged:
+            return pts, "projection_stall", (xn, yn)
+        if not domain.admissible((xn, yn)):
+            return pts, "boundary", (xn, yn)
+        pts.append((xn, yn))
+        x, y = xn, yn
+        end = stop(k, x, y) if stop is not None else None
+        if end is not None:
+            return pts, *end
+    return pts, None, (x, y)
+
+
+def _closed(x0, y0):
+    def stop(k, x, y):  # back within one step of the seed after three
+        return ("closed", (x, y)) if k >= 3 and math.hypot(x - x0, y - y0) < H_STEP else None
+
+    return stop
+
+
+def _crossed(target, tlevel, phi0):
+    phis = [phi0]
+
+    def stop(k, x, y):
+        phis.append(jet_coeffs(target.program, x, y, order=1)[0] - tlevel)
+        return ("crossed", phis[-2]) if phis[-2] * phis[-1] <= 0.0 else None
+
+    return stop
+
+
+def _walk_result(walk):
+    """A walk's points, reason and where with floats as hex, or the error it
+    raised."""
+
+    def hexed(v):
+        if isinstance(v, EvalDomainError):
+            return ["EvalDomainError", str(v), v.fragment, v.point]
+        return v.hex() if isinstance(v, float) else [hexed(w) for w in v]
+
+    try:
+        pts, reason, where = walk()
+    except EvalDomainError as exc:
+        return ["raised", hexed(exc)]
+    return [hexed(pts), reason, None if where is None else hexed(where)]
+
+
+def _compare_walks(fol, domain, p0, steps, stop=None, target=None, tlevel=0.0):
+    """The generated and the reference walk must agree bit for bit; returns
+    the generated walk's result."""
+    x, y = p0
+    level, gx, gy = jet_coeffs(fol.program, x, y, order=1)
+    extra, ref_stop = (), None
+    if stop == "closed":
+        ref_stop = _closed(x, y)
+    elif stop == "crossed":
+        phi0 = jet_coeffs(target.program, x, y, order=1)[0] - tlevel
+        extra, ref_stop = (tlevel, phi0), _crossed(target, tlevel, phi0)
+    walk = domain.walker(fol, stop, target)
+    got = _walk_result(lambda: walk(x, y, gx, gy, iter(steps), level, *extra))
+    want = _walk_result(lambda: reference_walk(fol, domain, level, p0, steps, ref_stop))
+    assert got == want
+    return got
+
+
+_PAPER = builtin_web("paper")
+_WALK_CASES = {
+    "paper": (_PAPER.foliations, _PAPER.domain),
+    "family": (family_web("1+x", "exp(x)").foliations, Domain((-1.0, 1.5, -1.5, 1.5))),
+    "sqrt": (_STEPPER_WEBS["sqrt"], Domain((-2.0, 2.0, -2.0, 2.0))),
+    "affine": (_STEPPER_WEBS["affine"], Domain((-1.0, 1.5, -1.5, 1.5), parse("1-x-y"), 0.05)),
+    "ln": (_STEPPER_WEBS["paper"], Domain((-1.0, 1.0, -1.0, 1.0), parse("ln(x)"), 0.1)),
+    "circle": ((Foliation(parse("x^2+y^2")), Foliation(parse("x*y")), Foliation(parse("y"))),
+               Domain((-2.0, 2.0, -2.0, 2.0))),
+}
+_UNIT_BOX = (-1.0, 1.0, -1.0, 1.0)
+
+
+class TestWalkerMatchesReference:
+    # no explain phase: it traces every line of the generated walkers, and a
+    # failure took minutes to report
+    @settings(max_examples=300, phases=[p for p in Phase if p is not Phase.explain])
+    @given(
+        case=st.sampled_from(sorted(_WALK_CASES)),
+        index=st.integers(0, 2),
+        stop=st.sampled_from([None, "closed", "crossed"]),
+        x=st.floats(-1.0, 1.5),
+        y=st.floats(-1.5, 1.5),
+        offset=st.floats(-0.5, 0.5),
+        steps=st.lists(
+            st.sampled_from([H_STEP, -H_STEP, 0.05, -0.3, 2.0, -2.0])
+            | st.floats(-0.5, 0.5).filter(bool),
+            max_size=40,
+        ),
+    )
+    def test_walks_bitwise(self, case, index, stop, x, y, offset, steps):
+        foliations, domain = _WALK_CASES[case]
+        fol, target = foliations[index], foliations[index - 1]
+        try:
+            jet_coeffs(fol.program, x, y, order=1)
+            tlevel = jet_coeffs(target.program, x, y, order=1)[0] + offset
+        except EvalDomainError:
+            return  # no leaf through a point where u cannot be evaluated
+        if stop != "crossed":
+            target = None
+        _compare_walks(fol, domain, (x, y), steps, stop, target, tlevel)
+
+    @pytest.mark.parametrize(
+        "fol,domain,p0,steps,reason",
+        [
+            # F1 = x walks towards -y for h > 0: to the box edge y = -2, or
+            # for h < 0 into the band |1-x-y| < 0.05 around y = 1
+            (_PAPER.foliation(1), _PAPER.domain, (-1.0, -1.5), [H_STEP] * 20, None),
+            (_PAPER.foliation(1), _PAPER.domain, (-1.0, -1.9), [H_STEP] * 20, "boundary"),
+            (_PAPER.foliation(1), _PAPER.domain, (0.0, 0.9), [-H_STEP] * 20, "boundary"),
+            # the leaf y + sqrt(x+1) = c ends at x = -1
+            (_STEPPER_WEBS["sqrt"][2], Domain(), (-0.999, 0.0), [-0.05], "domain_exit"),
+            # the second RK4 stage lands on the origin, where grad(x*y) vanishes
+            (Foliation(parse("x*y")), Domain(_UNIT_BOX), (0.005, 0.0), [-H_STEP], "gradient_collapse"),
+            (Foliation(parse("sin(5*x)+y")), Domain(),
+             (0.012440656289377738, 1.8700569248230368), [2.0], "projection_stall"),
+            (Foliation(parse("exp(3*x)*y")), Domain((-2.0, 2.0, -2.0, 2.0)),
+             (1.6421356234530933, -0.7237972190525634), [2.0], "projection_stall"),
+        ],
+    )
+    def test_every_ending(self, fol, domain, p0, steps, reason):
+        got = _compare_walks(fol, domain, p0, steps)
+        assert got[1] == reason
+        if reason is None:
+            assert len(got[0]) == len(steps)
+
+    def test_boundary_where_the_exclusion_jet_fails(self):
+        # F2 = y walks towards -x for h < 0; ln(x) fails past x = 0, which
+        # is no error but the edge of the domain
+        domain = _WALK_CASES["ln"][1]
+        got = _compare_walks(_PAPER.foliation(2), domain, (0.5, 0.0), [-H_STEP] * 80)
+        assert got[1] == "boundary"
+        at = tuple(float.fromhex(v) for v in got[2])
+        assert at[0] <= 0.0
+        with pytest.raises(EvalDomainError):
+            jet_coeffs(domain.exclude_program, *at, order=1)
+
+    def test_closed(self):
+        fol = _WALK_CASES["circle"][0][0]
+        got = _compare_walks(fol, Domain(), (0.5, 0.0), [H_STEP] * 400, "closed")
+        assert got[1] == "closed" and len(got[0]) == 314
+
+    def test_crossed(self):
+        # F1 = x walks down from the origin; ten steps of 0.01 end a rounding
+        # error above y = -0.1, so the eleventh crosses
+        got = _compare_walks(_PAPER.foliation(1), _PAPER.domain, (0.0, 0.0), [H_STEP] * 40,
+                             "crossed", _PAPER.foliation(2), -0.1)
+        assert got[1] == "crossed" and len(got[0]) == 11
+
+    def test_failing_target_jet_raises(self):
+        # sqrt(y) >= 0 never reaches level -1; past y = 0 its jet fails, and
+        # that must raise, not read as the edge of the domain
+        target = Foliation(parse("sqrt(y)"))
+        got = _compare_walks(_PAPER.foliation(1), Domain(_UNIT_BOX), (0.0, 0.5), [H_STEP] * 80,
+                             "crossed", target, -1.0)
+        assert got[0] == "raised" and got[1][2] == "sqrt(y)"
+
+
+class TestWalkerGeneration:
+    def test_text_is_generated_once_per_integral_and_stop(self, monkeypatch, tmp_path):
+        calls = []
+        generate = triweb.web.inline_source
+
+        def spy(template, codes):
+            calls.append((template, tuple(codes.items())))
+            return generate(template, codes)
+
+        triweb.web._walker_text.cache_clear()
+        monkeypatch.setattr(triweb.web, "inline_source", spy)
+        for i, box in enumerate((["-2", "2", "-2", "2"], ["-1.9", "2.1", "-2.05", "1.95"])):
+            argv = ["verify-theorem", "--builtin", "paper", "--box", *box, "--seeds", "2",
+                    "--out", str(tmp_path / str(i))]
+            assert triweb.cli.main(argv) == 0
+            if i == 0:
+                first = len(calls)
+        # three integrals, each walked with and without the closed-leaf stop
+        assert first == len(calls) == len(set(calls)) == 6
+
+    def test_webs_are_not_kept_alive(self):
+        web = builtin_web("paper")
+        trace_leaf(web.foliation(3), (1.0, 1.0), 0.5, web.domain, 3)
+        refs = [weakref.ref(web.domain), weakref.ref(web.foliation(3))]
+        del web
+        gc.collect()
+        assert all(ref() is None for ref in refs)
