@@ -23,7 +23,6 @@ from .errors import (
     TriwebError,
 )
 from .expr import Expr, eval_value, parse, to_text
-from .jets import Jet3
 from .kernels import compile_expr, eval_jet3
 from .transform import (
     DiffeoReport,

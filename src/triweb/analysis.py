@@ -34,14 +34,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
-from .kernels import jet_coeffs
-from .web import H_STEP, Survey, ThreeWeb, _GradCollapse, _walk_arc
+from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .web import H_STEP, Survey, ThreeWeb, _walk_arc
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
 
 # leg pattern: (foliation to follow, foliation whose center leaf to hit)
 _LEG_PATTERN = ((3, 2), (1, 3), (2, 1), (3, 2), (1, 3), (2, 1))
+
+# how a one-step walk of the crossing refinement ended -> the error it raises
+_REFINE_ERRORS = {
+    "gradient_collapse": "gradient collapse while refining a leg crossing",
+    "projection_stall": "level projection stalled while refining a leg crossing",
+    "boundary": "leg crossing refinement left the admissible domain at ({:g}, {:g})",
+}
 
 
 def _curvature(prog, xs, ys, c) -> np.ndarray:
@@ -70,9 +77,8 @@ def blaschke_curvature(web: ThreeWeb, p) -> float:
             "use hexagon_defect for general webs"
         )
     prog = web.web_function.program
-    x, y = float(p[0]), float(p[1])
-    c = np.array([jet_coeffs(prog, x, y)])
-    return float(_curvature(prog, [x], [y], c)[0])
+    xs, ys = [float(p[0])], [float(p[1])]
+    return float(_curvature(prog, xs, ys, jet_coeffs_or_raise(prog, xs, ys, order=3))[0])
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,12 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
 
     Walks both orientations for the nearest sign change, the forward one
     winning a tie, then refines the crossing with safeguarded Newton on
-    the arc parameter.  Returns the endpoint and the walked path.
+    the arc parameter, each Newton step a walk of one step that returns
+    the gradient at its end.  Returns the endpoint and the walked path.
     """
     domain = web.domain
     leg, target = web.foliation(leg_index), web.foliation(target_index)
-    leg_jet, tgt_jet = leg.program.at_point[1], target.program.at_point[1]
+    leg_jet, tgt_jet = leg.program.at_point, target.program.at_point
     x0, y0 = start
     leg_level, gx0, gy0 = leg_jet(x0, y0)
     phi0 = tgt_jet(x0, y0)[0] - target_level
@@ -198,6 +205,7 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     _, h, path, phi_a = bracket
     q, s_q, s_a, s_b = path[-2], 0.0, 0.0, h
     _, gx, gy = leg_jet(*q)
+    step = domain.walker(leg)
     for _ in range(60):
         f_q, tx, ty = tgt_jet(*q)
         f_q -= target_level
@@ -215,18 +223,17 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
         lo, hi = (s_a, s_b) if s_a < s_b else (s_b, s_a)
         if not (lo < s_new < hi):
             s_new = 0.5 * (s_a + s_b)
-        try:
-            xq, yq, gx, gy, converged = leg.advance(q[0], q[1], gx, gy, s_new - s_q, leg_level)
-        except _GradCollapse:
-            raise HexagonError("gradient collapse while refining a leg crossing") from None
-        if not converged:
-            raise HexagonError("level projection stalled while refining a leg crossing")
+        # s_q is an end of the bracket and s_new lies inside it, so the step is nonzero
+        _, stop, at = step(q[0], q[1], gx, gy, (s_new - s_q,), leg_level)
+        if stop == "domain_exit":
+            raise at
+        if stop is not None:
+            raise HexagonError(_REFINE_ERRORS[stop].format(*at))
+        xq, yq, gx, gy = at
         q, s_q = (xq, yq), s_new
     else:
         raise HexagonError("leg crossing refinement did not converge")
 
-    if not domain.admissible(q):
-        raise HexagonError(f"leg endpoint ({q[0]:g}, {q[1]:g}) is inadmissible")
     path[-1] = q
     return q, path
 

@@ -391,7 +391,7 @@ def _cmd_parse(args) -> int:
         print(to_text(e))
         if args.at is not None:
             jet = eval_jet3(e, (args.at[0], args.at[1]))
-            for (i, j), v in zip(JET_ORDERS, jet.as_array()):
+            for (i, j), v in zip(JET_ORDERS, jet):
                 label = "value" if (i, j) == (0, 0) else f"d{'x' * i}{'y' * j}"
                 print(f"  {label}: {fmt(v)}")
     return EXIT_PASS

@@ -6,9 +6,10 @@ slots of :mod:`triweb.jets` (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
 be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
 and gradient, the first three slots, computed by the same expressions so
-they agree bit for bit).  Single points run on Python floats
-(:func:`jet_coeffs`) and batches on numpy arrays (:func:`jet_coeffs_many`),
-each at either order; :func:`inline_source` pastes the order-1 bodies
+they agree bit for bit).  Batches run on numpy arrays at either order
+(:func:`jet_coeffs_many`); single points run order 1 on Python floats,
+and order 3 as a one-row batch (:func:`jet_coeffs`), so each expression
+compiles three functions.  :func:`inline_source` pastes the order-1 body
 of one or more programs into caller code at its own points, and
 :func:`bind_inline` binds the result.  All call numpy's elementary
 functions, so a batch row equals the single-point result bit for bit.
@@ -30,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EvalDomainError
-from .expr import BinOp, Call, Const, Expr, Neg, Var, parse, to_text
-from .jets import JET_ORDERS, JET_SIZE, PROD_A, PROD_B, PROD_OUT, PROD_W, Jet3
+from .expr import BinOp, Call, Const, Expr, Neg, Var, _frag, parse, to_text
+from .jets import JET_ORDERS, JET_SIZE, PRODUCT_ROWS
 
 # error codes of jet_coeffs_many
 ERR_OK = 0
@@ -51,11 +52,6 @@ _MAX_INT_EXPONENT = 1000
 _CHUNK = 16384  # points per batch pass, so the temporaries stay in cache
 
 _ORDER = tuple(i + j for i, j in JET_ORDERS)
-# Leibniz rows (a, b, weight) summed into each product slot
-_PRODUCT = list(zip(PROD_OUT, PROD_A, PROD_B, PROD_W))
-_ROWS = tuple(
-    [(int(a), int(b), float(w)) for o, a, b, w in _PRODUCT if o == k] for k in range(JET_SIZE)
-)
 _ZERO = (0.0,) * JET_SIZE
 
 # g(v), g'(v), g''(v)/2 and g'''(v)/6 as g0..g3, and the domain test on v
@@ -130,9 +126,7 @@ class _Emitter:
         return "\n".join(out) + "\n"
 
     def op(self, node: Expr) -> int:
-        lo, hi = node.span
-        use_span = self.source is not None and lo >= 0
-        self.frags.append(self.source[lo:hi] if use_span else to_text(node))
+        self.frags.append(_frag(node, self.source))
         return len(self.frags) - 1
 
     def domain(self, v, code: int, k: int):
@@ -181,7 +175,7 @@ class _Emitter:
         out = []
         for k in range(self.size):
             terms = []
-            for i, j, w in _ROWS[k] if _ORDER[k] <= upto else ():
+            for i, j, w in PRODUCT_ROWS[k] if _ORDER[k] <= upto else ():
                 ci, fi = self.term(a[i], w)
                 cj, fj = self.term(b[j], ci)
                 terms.append((cj, fi + fj))
@@ -285,9 +279,9 @@ class Program:
 
     frags: tuple  # per-op source fragment, for error attribution
     source: str  # printable form of the whole expression
-    at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y)
+    at_point: Callable = field(repr=False, compare=False)  # order-1 jet(x, y)
     on_arrays: dict = field(repr=False, compare=False)  # order -> jet(x, y, check)
-    point_code: str = field(repr=False, compare=False)  # source of at_point[1]
+    point_code: str = field(repr=False, compare=False)  # source of at_point
     fail: Callable = field(repr=False, compare=False)  # fail(code, k, x, y) raises
     constant_gradient: tuple | None = field(repr=False, compare=False)  # literal (u_x, u_y)
 
@@ -347,9 +341,8 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     def fail(code: int, k: int, x: float, y: float):
         raise EvalDomainError(_ERR_TEXT[code], frags[k], (x, y))
 
-    point_names = dict(_POINT_NAMES, fail=fail)
-    point_code = {em.order: em.render(result, hook=False) for em, result in zip(emitters, results)}
-    at_point = {order: _bind(jet, point_names) for order, jet in point_code.items()}
+    point_code = emitters[0].render(results[0], hook=False)
+    at_point = _bind(point_code, dict(_POINT_NAMES, fail=fail))
     on_arrays = {
         em.order: _bind(em.render(result, hook=True), _ARRAY_NAMES)
         for em, result in zip(emitters, results)
@@ -357,7 +350,7 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     source = source if source is not None else to_text(e)
     grad = results[0][1:]
     grad = None if any(isinstance(v, str) for v in grad) else grad
-    return Program(frags, source, at_point, on_arrays, point_code[1], fail, grad)
+    return Program(frags, source, at_point, on_arrays, point_code, fail, grad)
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:
@@ -369,12 +362,15 @@ def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> Non
 
 def jet_coeffs(program: Program, x: float, y: float, order: int = 3) -> tuple:
     """Jet coefficients at one point, as floats: the ten slots of
-    :mod:`triweb.jets` at order 3, (u, u_x, u_y) at order 1.
+    :mod:`triweb.jets` at order 3, (u, u_x, u_y) at order 1.  Order 3 is
+    a one-row batch, whose row and error are the point's.
 
     Raises :class:`EvalDomainError` naming the offending subexpression
     and point on any domain violation or overflow of a computed slot.
     """
-    return program.at_point[order](float(x), float(y))
+    if order == 1:
+        return program.at_point(float(x), float(y))
+    return tuple(jet_coeffs_or_raise(program, [float(x)], [float(y)], order)[0].tolist())
 
 
 def jet_coeffs_many(program: Program, xs, ys, order: int = 3):
@@ -413,8 +409,9 @@ def jet_coeffs_or_raise(program: Program, xs, ys, order: int = 3) -> np.ndarray:
     return out
 
 
-def eval_jet3(e: Expr | str, point) -> Jet3:
-    """Value plus all partial derivatives through order 3 at a point.  It
-    compiles ``e`` on every call: a one-shot helper, as for ``parse --at``;
-    compile once with :func:`compile_expr` to evaluate many points."""
-    return Jet3(jet_coeffs(compile_expr(e), point[0], point[1]))
+def eval_jet3(e: Expr | str, point) -> tuple:
+    """Value plus all partial derivatives through order 3 at a point, the
+    ten slots in :data:`~triweb.jets.JET_ORDERS` order.  It compiles ``e``
+    on every call: a one-shot helper, as for ``parse --at``; compile once
+    with :func:`compile_expr` to evaluate many points."""
+    return jet_coeffs(compile_expr(e), point[0], point[1])

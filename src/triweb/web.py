@@ -10,8 +10,10 @@ regardless of integrator drift.  One generated function per walk
 (``Domain.walker``) inlines that step, the box test, the exclusion's jet
 and one stop test: a failing integral jet ends the walk as "domain_exit",
 a failing exclusion jet as "boundary", and a failing target jet raises.
-Constant gradients are folded by the same float operations, bit for bit,
-and the text is cached by the strings it is built from, never by webs.
+It is the only stepper: the hexagon's crossing refinement takes walks of
+one step.  Constant gradients are folded by the same float operations,
+bit for bit, and the text is cached by the strings it is built from,
+never by webs.
 
 All types are immutable after construction, but for a domain's bound
 walkers, and every operation is pure; batch work over seeds or grid
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,10 +53,6 @@ EPS_GP = 1e-6  # minimal pairwise transversality determinant
 DEFAULT_GRID = (41, 41)
 DEFAULT_BOX = (-2.0, 2.0, -2.0, 2.0)
 DEFAULT_MARGIN = 0.05
-
-
-class _GradCollapse(Exception):
-    """Internal: gradient norm fell below EPS_GRAD in ``Foliation.advance``."""
 
 
 def _step(fold, done: str, stall: str, collapse: str) -> list[str]:
@@ -100,16 +98,6 @@ def _block(head: str, lines: list[str]) -> list[str]:
     return [head, *(f"    {line}" for line in lines)]
 
 
-def _advance_source(fold) -> str:
-    """The leaf stepper, one per foliation: advance(x, y, gx, gy, h, level)
-    makes the step of ``_step`` and returns the new point, the gradient
-    there and whether it meets its level."""
-    ret = "return px, py, gx, gy,"
-    return "\n".join(_block("def advance(x, y, gx, gy, h, level):", [
-        "if h == 0.0: return x, y, gx, gy, True",
-        *_step(fold, f"{ret} True", f"{ret} False", "raise GradCollapse")]))
-
-
 # stop kind -> (extra arguments, lines before the walk, the test of each new point)
 _STOPS = {
     None: ("", [], []),
@@ -129,12 +117,13 @@ def _walker_source(fold, stop: str | None, exclude: bool) -> str:
     box and, with ``exclude``, where the exclusion's jet succeeds with
     |value| >= margin; the box edges and margin are bound names.  Returns
     the points after (x, y), why the walk ended and where: None, with the
-    last point; "boundary" at an inadmissible point; "domain_exit" with the
-    integral's EvalDomainError; "gradient_collapse" with the point before
-    the step; "projection_stall" with the point off its level; "closed" at
-    the first point from the third on within H_STEP of (x, y); "crossed"
-    where the target offset u_t - tlevel is zero or changes sign, with the
-    offset at the point before (phi at the start).  A target jet raises."""
+    last point and the gradient there; "boundary" at an inadmissible
+    point; "domain_exit" with the integral's EvalDomainError;
+    "gradient_collapse" with the point before the step; "projection_stall"
+    with the point off its level; "closed" at the first point from the
+    third on within H_STEP of (x, y); "crossed" where the target offset
+    u_t - tlevel is zero or changes sign, with the offset at the point
+    before (phi at the start).  A target jet raises."""
     args, start, test = _STOPS[stop]
     boundary = "return pts, 'boundary', (px, py)"
     step = _step(fold, "break", "return pts, 'projection_stall', (px, py)",
@@ -148,7 +137,7 @@ def _walker_source(fold, stop: str | None, exclude: bool) -> str:
     loop += ["append((px, py))", "x, y = px, py", *test]
     return "\n".join(_block(f"def walk(x, y, gx, gy, steps, level{args}):", [
         "pts = []", "append = pts.append", *start, *_block("for h in steps:", loop),
-        "return pts, None, (x, y)"]))
+        "return pts, None, (x, y, gx, gy)"]))
 
 
 @lru_cache(maxsize=64)
@@ -160,7 +149,7 @@ def _walker_text(fold, stop: str | None, codes: tuple) -> str:
     return inline_source(_walker_source(fold, stop, "exclude" in codes), codes)
 
 
-_NAMES = {"hypot": math.hypot, "GradCollapse": _GradCollapse, "EvalDomainError": EvalDomainError}
+_NAMES = {"hypot": math.hypot, "EvalDomainError": EvalDomainError}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +217,7 @@ class Domain:
         try:
             return xmin <= x <= xmax and ymin <= y <= ymax and (
                 self._exclude_program is None
-                or abs(self._exclude_program.at_point[1](x, y)[0]) >= self.margin)
+                or abs(self._exclude_program.at_point(x, y)[0]) >= self.margin)
         except EvalDomainError:
             return False
 
@@ -288,14 +277,6 @@ class Foliation:
 
     def __post_init__(self):
         object.__setattr__(self, "_program", compile_expr(self.integral))
-
-    @cached_property
-    def advance(self):
-        """The generated leaf stepper (see ``_advance_source``), built on
-        first use, since only hexagons need it."""
-        prog = self._program
-        text = inline_source(_advance_source(prog.constant_gradient), {"jet": prog.point_code})
-        return bind_inline(text, {"jet": prog}, _NAMES, "advance")
 
     @property
     def program(self) -> Program:

@@ -5,17 +5,21 @@ reusing its code paths: order-0 values come from the tree-walking
 evaluator, first derivatives additionally from raw-value stencils, and
 each higher order from fourth-order central differences of the
 next-lower-order coefficients, so an error at any order breaks some
-level of the chain.
+level of the chain.  ``Jet3`` is the Leibniz oracle: truncated-Taylor
+algebra on coefficient vectors, written from the Leibniz rule alone, so
+it shares no code with the emitter it checks.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from triweb.expr import BinOp, Call, Const, Expr, Neg, Var, eval_value, parse
-from triweb.jets import JET_INDEX
+from triweb.jets import JET_INDEX, JET_SIZE
 from triweb.kernels import compile_expr, jet_coeffs
 from triweb.web import Domain, ThreeWeb, builtin_web, family_web
 
@@ -189,6 +193,63 @@ def assert_jet_matches_fd(e: Expr, p, rel: float = 1e-5, abs_: float = 1e-8):
             f"{label} mismatch for {e}: jet={analytic!r} fd={independent!r} "
             f"at {tuple(p)}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Leibniz oracle
+# ---------------------------------------------------------------------------
+
+
+def product_coeffs(a, b) -> np.ndarray:
+    """Truncated product of two coefficient vectors by the Leibniz rule
+    h_ij = sum C(i,p) C(j,q) a_pq b_(i-p)(j-q) over p <= i, q <= j."""
+    out = np.zeros(JET_SIZE)
+    for (i, j), k in JET_INDEX.items():
+        for p in range(i + 1):
+            for q in range(j + 1):
+                w = comb(i, p) * comb(j, q)
+                out[k] += w * a[JET_INDEX[(p, q)]] * b[JET_INDEX[(i - p, j - q)]]
+    return out
+
+
+class Jet3:
+    """An immutable jet: its ten coefficients in ``JET_ORDERS`` order, with
+    sums, scaling and the truncated Leibniz product."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=float)
+        if c.shape != (JET_SIZE,):
+            raise ValueError(f"expected {JET_SIZE} coefficients, got {c.shape}")
+        c.setflags(write=False)
+        object.__setattr__(self, "_c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Jet3 is immutable")
+
+    @classmethod
+    def constant(cls, v: float) -> "Jet3":
+        return cls([v] + [0.0] * (JET_SIZE - 1))
+
+    @classmethod
+    def variable(cls, axis: int, value: float) -> "Jet3":
+        c = np.zeros(JET_SIZE)
+        c[0], c[1 + axis] = value, 1.0
+        return cls(c)
+
+    def as_array(self) -> np.ndarray:
+        return self._c
+
+    def __add__(self, other: "Jet3") -> "Jet3":
+        return Jet3(self._c + other._c)
+
+    def __mul__(self, other) -> "Jet3":
+        if isinstance(other, Jet3):
+            return Jet3(product_coeffs(self._c, other._c))
+        return Jet3(self._c * float(other))
+
+    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

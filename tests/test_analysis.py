@@ -285,6 +285,103 @@ class TestHexagon:
             assert np.allclose(fig.legs[i][-1], fig.points[i])
 
 
+def _refine_with(monkeypatch, step):
+    """Bracket scans walk as they do; every one-step walk of the crossing
+    refinement calls ``step`` instead."""
+    real = Domain.walker
+
+    def walker(domain, fol, stop=None, target=None):
+        return real(domain, fol, stop, target) if stop == "crossed" else step
+
+    monkeypatch.setattr(Domain, "walker", walker)
+
+
+def _stuck(x, y, gx, gy, steps, level):
+    """A one-step walker that never moves."""
+    return [(x, y)], None, (x, y, gx, gy)
+
+
+class TestCrossingRefinementExits:
+    """Every end of the Newton refinement of a leg crossing.  The leaf x = 0
+    of F1 = x is walked towards -y from the origin, to the level y = tlevel
+    of F2 = y, which it crosses between its walk points (0, -0.05) and
+    (0, -0.06).  Where geometry cannot produce an end, a fake one-step
+    walker stands in."""
+
+    def leg(self, tlevel, f1="x", domain=None):
+        web = ThreeWeb.from_integrals((f1, "y", "x+y"), domain or Domain())
+        return _leg_to_level(web, 1, 2, (0.0, 0.0), tlevel, 1.0)
+
+    def test_converges(self, monkeypatch):
+        steps = []
+
+        def step(x, y, gx, gy, arcs, level):
+            steps.append(arcs)
+            return real(x, y, gx, gy, arcs, level)
+
+        real = Domain().walker(Foliation(parse("x")))
+        _refine_with(monkeypatch, step)
+        q, path = self.leg(-0.0575)
+        assert q == pytest.approx((0.0, -0.0575), abs=1e-12) and path[-1] == q
+        # walks of one nonzero step, from the last point before the crossing
+        assert steps and all(len(arcs) == 1 and arcs[0] != 0.0 for arcs in steps)
+
+    def test_failing_leg_jet_propagates(self):
+        # F1's jet fails only where |y + 0.05375| < 1e-4, a band between the
+        # points where the bracket scan evaluates it (y = -0.05, -0.055,
+        # -0.06), but where the refinement's first step puts an RK4 stage
+        with pytest.raises(EvalDomainError) as exc:
+            self.leg(-0.0575, f1="x+0*sqrt((y+0.05375)^2-1e-8)")
+        assert exc.value.fragment == "sqrt((y+0.05375)^2-1e-08)"
+        assert str(exc.value).startswith("sqrt of non-positive argument")
+        assert exc.value.point[0] == 0.0 and abs(exc.value.point[1] + 0.05375) < 1e-4
+
+    def test_boundary(self):
+        # the crossing lies in an excluded band thinner than a step
+        domain = Domain((-2.0, 2.0, -2.0, 2.0), parse("y+0.0575"), 1e-4)
+        with pytest.raises(HexagonError) as exc:
+            self.leg(-0.0575, domain=domain)
+        assert str(exc.value) == "leg crossing refinement left the admissible domain at (0, -0.0575)"
+
+    def test_gradient_collapse(self, monkeypatch):
+        _refine_with(monkeypatch, lambda x, y, gx, gy, steps, level: (
+            [], "gradient_collapse", (x, y)))
+        with pytest.raises(HexagonError) as exc:
+            self.leg(-0.0575)
+        assert str(exc.value) == "gradient collapse while refining a leg crossing"
+
+    def test_projection_stall(self, monkeypatch):
+        _refine_with(monkeypatch, lambda x, y, gx, gy, steps, level: (
+            [], "projection_stall", (x, y - steps[0])))
+        with pytest.raises(HexagonError) as exc:
+            self.leg(-0.0575)
+        assert str(exc.value) == "level projection stalled while refining a leg crossing"
+
+    def test_bracket_collapsed(self, monkeypatch):
+        # the crossing is 1e-5 short of the far end: the first Newton step
+        # stays inside the bracket, every later one leaves it, and bisection
+        # halves it below 1e-15 in under 60 steps
+        _refine_with(monkeypatch, _stuck)
+        with pytest.raises(HexagonError) as exc:
+            self.leg(-0.06 + 1e-5)
+        assert str(exc.value) == "leg crossing bracket collapsed before reaching tolerance"
+
+    def test_did_not_converge(self, monkeypatch):
+        # the crossing is 1e-5 past the near end: 60 Newton steps of 1e-5
+        # stay inside the bracket of 1e-2
+        steps = []
+
+        def step(x, y, gx, gy, arcs, level):
+            steps.append(arcs[0])
+            return _stuck(x, y, gx, gy, arcs, level)
+
+        _refine_with(monkeypatch, step)
+        with pytest.raises(HexagonError) as exc:
+            self.leg(-0.05 - 1e-5)
+        assert str(exc.value) == "leg crossing refinement did not converge"
+        assert len(steps) == 60 and steps[-1] == pytest.approx(1e-5)
+
+
 class TestOracleConsistency:
     def test_paper_vs_parallel(self, paper_web, parallel_web):
         k_paper, k_par = (

@@ -11,6 +11,7 @@ import gc
 import io
 import math
 import re
+import sys
 import tokenize
 import weakref
 
@@ -40,8 +41,6 @@ from triweb.web import (
     Foliation,
     Survey,
     ThreeWeb,
-    _advance_source,
-    _GradCollapse,
     _walker_source,
     builtin_web,
     family_web,
@@ -357,15 +356,20 @@ class TestClosedLeaves:
 
 
 # ---------------------------------------------------------------------------
-# The generated stepper against the plain-Python stepper it replaced
+# One step of the generated walker against the plain-Python stepper it
+# replaced
 # ---------------------------------------------------------------------------
+
+
+class _Collapse(Exception):
+    """The reference stepper's gradient fell below EPS_GRAD."""
 
 
 def _tangent(program, x, y):
     _, gx, gy = jet_coeffs(program, x, y, order=1)
     n = math.hypot(gx, gy)
     if n < EPS_GRAD:
-        raise _GradCollapse()
+        raise _Collapse()
     return gy / n, -gx / n
 
 
@@ -388,7 +392,7 @@ def _project(program, x, y, level):
             return x, y, True
         n2 = gx * gx + gy * gy
         if n2 < EPS_GRAD * EPS_GRAD:
-            raise _GradCollapse()
+            raise _Collapse()
         x -= r * gx / n2
         y -= r * gy / n2
     u = jet_coeffs(program, x, y, order=1)[0]
@@ -397,10 +401,38 @@ def _project(program, x, y, level):
 
 def reference_advance(program, level, x, y, ds):
     """One projected RK4 step, one jet call per stage and Newton step."""
-    if ds == 0.0:
-        return x, y, True
     xn, yn = _rk4_step(program, x, y, ds)
     return _project(program, xn, yn, level)
+
+
+def reference_step(fol, x, y, gx, gy, h, level):
+    """The reference step in the form of ``walker_step``; it ignores the
+    gradient it is given and takes the one at its new point by a jet."""
+    xn, yn, converged = reference_advance(fol.program, level, x, y, h)
+    if not converged:
+        return "stall", xn, yn
+    return "ok", xn, yn, *jet_coeffs(fol.program, xn, yn, order=1)[1:]
+
+
+_FREE = Domain((-sys.float_info.max, sys.float_info.max) * 2)  # every finite point
+
+
+def walker_step(fol, x, y, gx, gy, h, level):
+    """A walk of one step, as the hexagon's crossing refinement takes it:
+    ("ok", x, y, gx, gy) with the gradient at the new point, or ("stall",
+    x, y) at the point off its level; the walk's error, or _Collapse, is
+    raised."""
+    pts, stop, at = _FREE.walker(fol)(x, y, gx, gy, (h,), level)
+    if stop is None:
+        assert pts == [at[:2]]
+        return "ok", *at
+    assert not pts
+    if stop == "projection_stall":
+        return "stall", *at
+    if stop == "domain_exit":
+        raise at
+    assert (stop, at) == ("gradient_collapse", (x, y))
+    raise _Collapse()
 
 
 def _outcome(step):
@@ -409,27 +441,23 @@ def _outcome(step):
         return [v.hex() if isinstance(v, float) else v for v in step()]
     except EvalDomainError as exc:
         return ["EvalDomainError", str(exc), exc.fragment, exc.point]
-    except _GradCollapse:
+    except _Collapse:
         return ["gradient collapse"]
 
 
 def _walk_both(fol, p0, steps):
-    """The outcomes of the generated and the reference stepper along the
-    same walk; the generated one gets the gradient it returned last, the
-    reference yields the gradient at its own point."""
+    """The outcomes of the generated and the reference step along the same
+    walk; the generated one gets the gradient it returned last."""
     x, y = p0
     level, gx, gy = jet_coeffs(fol.program, x, y, order=1)
     pairs = []
     for h in steps:
-        got = _outcome(lambda: fol.advance(x, y, gx, gy, h, level))
-        want = _outcome(lambda: reference_advance(fol.program, level, x, y, h))
-        if len(want) == 3:  # the gradient at the reference's new point
-            xn, yn = float.fromhex(want[0]), float.fromhex(want[1])
-            want[2:2] = [v.hex() for v in jet_coeffs(fol.program, xn, yn, order=1)[1:]]
+        got, want = (_outcome(lambda: step(fol, x, y, gx, gy, h, level))
+                     for step in (walker_step, reference_step))
         pairs.append((got, want))
-        if len(got) != 5 or got[4] is not True:
+        if got[0] != "ok":
             break
-        x, y, gx, gy = (float.fromhex(v) for v in got[:4])
+        x, y, gx, gy = (float.fromhex(v) for v in got[1:])
     return pairs
 
 
@@ -449,7 +477,8 @@ class TestStepperMatchesReference:
         x=st.floats(-1.0, 1.5),
         y=st.floats(-1.5, 1.5),
         steps=st.lists(
-            st.sampled_from([H_STEP, -H_STEP, 0.0, 0.05, -0.3, 2.0, -2.0]) | st.floats(-0.5, 0.5),
+            st.sampled_from([H_STEP, -H_STEP, 0.05, -0.3, 2.0, -2.0])
+            | st.floats(-0.5, 0.5).filter(bool),
             min_size=1,
             max_size=12,
         ),
@@ -466,7 +495,7 @@ class TestStepperMatchesReference:
     @given(
         x=st.floats(-0.9999, -0.8),
         y=st.floats(-1.5, 1.5),
-        steps=st.lists(st.floats(-0.3, 0.0), min_size=1, max_size=12),
+        steps=st.lists(st.floats(-0.3, 0.0).filter(bool), min_size=1, max_size=12),
     )
     def test_walks_into_the_end_of_a_sqrt_leaf(self, x, y, steps):
         pairs = _walk_both(_STEPPER_WEBS["sqrt"][2], (x, y), steps)
@@ -498,7 +527,7 @@ class TestStepperMatchesReference:
     def test_projection_stall_in_the_same_cases(self, text, p0, h):
         (got, want), = _walk_both(Foliation(parse(text)), p0, [h])
         assert got == want
-        assert got[4] is False
+        assert got[0] == "stall"
 
     def test_gradient_below_eps_collapses_unfolded(self):
         fol = _STEPPER_WEBS["affine"][2]
@@ -511,14 +540,15 @@ class TestStepperMatchesReference:
         fol = Foliation(parse("9.967311300555508e-08*x+9.950202362483798e-07*y"))
         gx, gy = fol.program.constant_gradient
         assert math.hypot(gx, gy) >= EPS_GRAD and gx * gx + gy * gy < EPS_GRAD**2
-        got = _outcome(lambda: fol.advance(0.0, 0.0, gx, gy, H_STEP, 1e-9))
-        want = _outcome(lambda: reference_advance(fol.program, 1e-9, 0.0, 0.0, H_STEP))
+        got, want = (_outcome(lambda: step(fol, 0.0, 0.0, gx, gy, H_STEP, 1e-9))
+                     for step in (walker_step, reference_step))
         assert got == want == ["gradient collapse"]
 
     @pytest.mark.parametrize("text,folded", [("x", True), ("x-2*y", True), ("1e-7*x", False)])
     def test_constant_gradients_fold(self, text, folded):
         fold = Foliation(parse(text)).program.constant_gradient
-        for source in (_advance_source(fold), _walker_source(fold, None, False)):
+        for stop in (None, "crossed"):  # the closed stop's test calls hypot itself
+            source = _walker_source(fold, stop, False)
             assert ("hypot" in source) is not folded
             assert ("n2 = gx * gx + gy * gy" in source) is not folded
 
@@ -527,7 +557,7 @@ class TestStepperMatchesReference:
         bind = triweb.kernels._bind
 
         def spy(code, names, name="jet"):
-            if name in ("advance", "walk"):
+            if name == "walk":
                 sources.append(code)
             return bind(code, names, name)
 
@@ -536,14 +566,12 @@ class TestStepperMatchesReference:
         texts = ("(x+y)*exp(-x)", "y+sqrt(x+1)", "ln(2+x)/(2+y)", "x^-2+2^x", "sin(x)*cos(y)", "x")
         for text in texts:
             fol = Foliation(parse(text))
-            fol.advance
             domain = Domain((-1.5, 1.5, -1.0, 1.0), parse("ln(3+x)-y"), 0.01)
             for stop in (None, "closed", "crossed"):
                 domain.walker(fol, stop, target if stop == "crossed" else None)
-        assert len(sources) == 4 * len(texts)
-        bound = {"def", "if", "return", "raise", "True", "False", "advance", "abs", "hypot",
-                 "GradCollapse", "exp", "log", "sin", "cos", "sqrt", "inf", "nan",
-                 "while", "_"}
+        assert len(sources) == 3 * len(texts)
+        bound = {"def", "if", "return", "True", "False", "abs", "hypot", "exp", "log", "sin",
+                 "cos", "sqrt", "inf", "nan", "while", "_"}
         # the walkers: control flow, their arguments and bound names, and one
         # fail per inlined program
         bound |= {"walk", "for", "in", "try", "except", "as", "break", "not", "and", "None",
@@ -578,7 +606,7 @@ def reference_walk(fol, domain, level, p0, steps, stop=None):
     for k, ds in enumerate(steps, 1):
         try:
             xn, yn, converged = reference_advance(fol.program, level, x, y, ds)
-        except _GradCollapse:
+        except _Collapse:
             return pts, "gradient_collapse", (x, y)
         except EvalDomainError as exc:
             return pts, "domain_exit", exc
@@ -591,7 +619,7 @@ def reference_walk(fol, domain, level, p0, steps, stop=None):
         end = stop(k, x, y) if stop is not None else None
         if end is not None:
             return pts, *end
-    return pts, None, (x, y)
+    return pts, None, (x, y, *jet_coeffs(fol.program, x, y, order=1)[1:])
 
 
 def _closed(x0, y0):
