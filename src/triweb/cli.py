@@ -559,6 +559,9 @@ def main(argv=None) -> int:
     except TriwebError as exc:  # parse, config and normal-form errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RecursionError:  # only expression trees are walked recursively
+        print("error: expression nests too deeply", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

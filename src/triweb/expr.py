@@ -1,11 +1,14 @@
 """Bivariate expression trees: parsing, printing, and plain evaluation.
 
-The language has two variables (``x``, ``y``), decimal literals, the
-operators ``+ - * / ^`` with unary minus, and the functions ``exp``,
-``ln``, ``sin``, ``cos``, ``sqrt``.  Precedence is ``^`` above unary
-minus above ``* /`` above ``+ -``; ``^`` is right-associative, the rest
-are left-associative.  There are no named constants: write ``exp(1)``
-for e.
+The language is ASCII: two variables (``x``, ``y``), finite decimal
+literals, the operators ``+ - * / ^`` with unary minus, and the functions
+``exp``, ``ln``, ``sin``, ``cos``, ``sqrt``; whitespace is any Unicode
+space.  Precedence is ``^`` above unary minus above ``* /`` above
+``+ -``; ``^`` is right-associative, the rest are left-associative.
+There are no named constants: write ``exp(1)`` for e.  One regex scans
+the tokens; one precedence table, ``_PREC``, drives both the parser's
+binary loop and the printer's parentheses.  Any text either parses or
+raises :class:`ParseError` at the offset of its first problem.
 
 Everything here is immutable and hashable; node equality is structural
 (source spans are ignored), so ``parse(to_text(parse(t))) == parse(t)``.
@@ -18,6 +21,7 @@ independent tree-walking evaluator used by validation code and tests.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .errors import EvalDomainError, ParseError
@@ -68,171 +72,102 @@ class Call(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Parser: one token regex, precedence climbing over the printer's table
 # ---------------------------------------------------------------------------
 
-_TOK_NUM = "num"
-_TOK_IDENT = "ident"
-_TOK_OP = "op"
-_TOK_END = "end"
+# Binding strength of each node kind, read by the parser and the printer
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
-
-def _tokenize(text: str) -> list[tuple[str, object, int, int]]:
-    """Return (kind, value, start, end) quadruples.  Raises ParseError on
-    any character outside the grammar."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # optional exponent, consumed only when it fully parses as one
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            out.append((_TOK_NUM, float(text[i:j]), i, j))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append((_TOK_IDENT, text[i:j], i, j))
-            i = j
-            continue
-        if c in "+-*/^(),":
-            out.append((_TOK_OP, c, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"illegal character {c!r}", text, i)
-    out.append((_TOK_END, None, n, n))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Recursive-descent parser
-# ---------------------------------------------------------------------------
+# ASCII numbers, names and operators; any other non-space character is
+# illegal.  Whitespace is Unicode ``\s``, the same set as ``str.isspace``.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))"
+)
 
 
 class _Parser:
+    """Tokens are (kind, value, start, end): kind is "num" (value the float),
+    "name", "end", or the operator character itself.  ``tok`` is the
+    lookahead."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks = _tokenize(text)
-        self.pos = 0
+        toks = []
+        for m in _TOKEN.finditer(text):
+            kind, lexeme = m.lastgroup, m[m.lastgroup]
+            if kind == "bad":
+                raise ParseError(f"illegal character {lexeme!r}", text, m.start(kind))
+            value = float(lexeme) if kind == "num" else lexeme
+            toks.append((lexeme if kind == "op" else kind, value, m.start(kind), m.end()))
+        toks.append(("end", None, len(text), len(text)))
+        self.rest = iter(toks)
+        self.tok = next(self.rest)
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
+    def shift(self, op: str | None = None):
+        """Consume and return the lookahead, which must be ``op`` when given;
+        past the end the lookahead stays the end token."""
+        tok = self.tok
+        if op is not None and tok[0] != op:
+            raise ParseError(f"expected {op!r}", self.text, tok[2])
+        self.tok = next(self.rest, tok)
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, start, _ = self.peek()
-        if kind != _TOK_OP or val != op:
-            raise ParseError(f"expected {op!r}", self.text, start)
-        return self.next()
-
-    def parse(self) -> Expr:
-        e = self.sum()
-        kind, val, start, _ = self.peek()
-        if kind != _TOK_END:
-            raise ParseError(f"unexpected {val!r}", self.text, start)
+    def binary(self, floor: int = 1) -> Expr:
+        """Left-associative ``+ - * /`` chains whose operators bind at least
+        as tightly as ``floor``."""
+        e = self.unary()
+        while self.tok[0] in ("+", "-", "*", "/") and _PREC[self.tok[0]] >= floor:
+            op = self.shift()[0]
+            rhs = self.binary(_PREC[op] + 1)
+            e = BinOp((e.span[0], rhs.span[1]), op, e, rhs)
         return e
 
-    def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == _TOK_OP and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = BinOp((e.span[0], rhs.span[1]), val, e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == _TOK_OP and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = BinOp((e.span[0], rhs.span[1]), val, e, rhs)
-            else:
-                return e
-
     def unary(self) -> Expr:
-        kind, val, start, _ = self.peek()
-        if kind == _TOK_OP and val == "-":
-            self.next()
+        if self.tok[0] == "-":
+            start = self.shift()[2]
             child = self.unary()
             return Neg((start, child.span[1]), child)
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, val, _, _ = self.peek()
-        if kind == _TOK_OP and val == "^":
-            self.next()
+        if self.tok[0] == "^":
+            self.shift()
             # right-associative; the exponent may carry a unary minus
             exponent = self.unary()
             return BinOp((base.span[0], exponent.span[1]), "^", base, exponent)
         return base
 
     def atom(self) -> Expr:
-        kind, val, start, end = self.next()
-        if kind == _TOK_NUM:
+        kind, val, start, end = self.shift()
+        if kind == "num":
+            if not math.isfinite(val):
+                raise ParseError(f"literal {self.text[start:end]!r} overflows", self.text, start)
             return Const((start, end), val)
-        if kind == _TOK_IDENT:
-            if val == "x":
-                return Var((start, end), 0)
-            if val == "y":
-                return Var((start, end), 1)
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.sum()
-                k2, v2, s2, _ = self.peek()
-                if k2 == _TOK_OP and v2 == ",":
-                    raise ParseError(
-                        f"function {val!r} takes exactly one argument",
-                        self.text,
-                        s2,
-                    )
-                close = self.expect_op(")")
-                return Call((start, close[3]), val, arg)
-            raise ParseError(f"unknown identifier {val!r}", self.text, start)
-        if kind == _TOK_OP and val == "(":
-            e = self.sum()
-            close = self.expect_op(")")
-            return _respan(e, (start, close[3]))
+        if kind == "name":
+            if val in ("x", "y"):
+                return Var((start, end), "xy".index(val))
+            if val not in FUNCTIONS:
+                raise ParseError(f"unknown identifier {val!r}", self.text, start)
+            self.shift("(")
+            arg = self.binary()
+            if self.tok[0] == ",":
+                raise ParseError(
+                    f"function {val!r} takes exactly one argument", self.text, self.tok[2]
+                )
+            return Call((start, self.shift(")")[3]), val, arg)
+        if kind == "(":
+            # widen the fresh node over its parentheses; spans are excluded
+            # from equality, so this never leaks
+            e = self.binary()
+            object.__setattr__(e, "span", (start, self.shift(")")[3]))
+            return e
         raise ParseError(
-            "unexpected end of input" if kind == _TOK_END else f"unexpected {val!r}",
+            "unexpected end of input" if kind == "end" else f"unexpected {val!r}",
             self.text,
             start,
         )
-
-
-def _respan(e: Expr, span: tuple[int, int]) -> Expr:
-    # construction-time widening of a freshly built node; spans are
-    # metadata and excluded from equality, so this never leaks
-    object.__setattr__(e, "span", span)
-    return e
 
 
 def parse(text: str) -> Expr:
@@ -243,14 +178,19 @@ def parse(text: str) -> Expr:
     """
     if not text or not text.strip():
         raise ParseError("empty expression", text, 0)
-    return _Parser(text).parse()
+    p = _Parser(text)
+    try:
+        e = p.binary()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", text, p.tok[2]) from None
+    if p.tok[0] != "end":
+        raise ParseError(f"unexpected {p.tok[1]!r}", text, p.tok[2])
+    return e
 
 
 # ---------------------------------------------------------------------------
 # Printer
 # ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def _prec(e: Expr) -> int:
@@ -313,7 +253,7 @@ def _frag(e: Expr, src: str | None) -> str:
     return to_text(e)
 
 
-def eval_value(e: Expr, point, _src: str | None = None) -> float:
+def eval_value(e: Expr, point) -> float:
     """Evaluate by direct tree walking.
 
     Independent of the jet kernels on purpose: validation code compares
@@ -335,40 +275,44 @@ def eval_value(e: Expr, point, _src: str | None = None) -> float:
                     return math.exp(u)
                 except OverflowError:
                     raise EvalDomainError(
-                        "overflow to non-finite", _frag(node, _src), (x, y)
+                        "overflow to non-finite", to_text(node), (x, y)
                     ) from None
             if node.fn == "ln":
                 if u <= 0.0:
                     raise EvalDomainError(
-                        "ln of non-positive argument", _frag(node, _src), (x, y)
+                        "ln of non-positive argument", to_text(node), (x, y)
                     )
                 return math.log(u)
-            if node.fn == "sin":
-                return math.sin(u)
-            if node.fn == "cos":
-                return math.cos(u)
+            if node.fn in ("sin", "cos"):
+                if math.isinf(u):  # an overflowed argument, which math.sin rejects
+                    raise EvalDomainError("overflow to non-finite", to_text(node), (x, y))
+                return math.sin(u) if node.fn == "sin" else math.cos(u)
             if node.fn == "sqrt":
                 if u <= 0.0:
                     raise EvalDomainError(
-                        "sqrt of non-positive argument", _frag(node, _src), (x, y)
+                        "sqrt of non-positive argument", to_text(node), (x, y)
                     )
                 return math.sqrt(u)
         if isinstance(node, BinOp):
             a = rec(node.left)
             if node.op == "^":
                 b = rec(node.right)
-                if float(b).is_integer():
-                    try:
+                try:
+                    if float(b).is_integer():
                         return float(a) ** int(b)
-                    except ZeroDivisionError:
+                    if a <= 0.0:
                         raise EvalDomainError(
-                            "division by zero", _frag(node, _src), (x, y)
-                        ) from None
-                if a <= 0.0:
+                            "ln of non-positive argument", to_text(node), (x, y)
+                        )
+                    return math.exp(b * math.log(a))
+                except ZeroDivisionError:
                     raise EvalDomainError(
-                        "ln of non-positive argument", _frag(node, _src), (x, y)
-                    )
-                return math.exp(b * math.log(a))
+                        "division by zero", to_text(node), (x, y)
+                    ) from None
+                except OverflowError:
+                    raise EvalDomainError(
+                        "overflow to non-finite", to_text(node), (x, y)
+                    ) from None
             b = rec(node.right)
             if node.op == "+":
                 return a + b
@@ -379,14 +323,14 @@ def eval_value(e: Expr, point, _src: str | None = None) -> float:
             if node.op == "/":
                 if b == 0.0:
                     raise EvalDomainError(
-                        "division by zero", _frag(node, _src), (x, y)
+                        "division by zero", to_text(node), (x, y)
                     )
                 return a / b
         raise TypeError(f"not an Expr: {node!r}")
 
     v = rec(e)
     if not math.isfinite(v):
-        raise EvalDomainError("overflow to non-finite", _frag(e, _src), (x, y))
+        raise EvalDomainError("overflow to non-finite", to_text(e), (x, y))
     return v
 
 

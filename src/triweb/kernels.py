@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvalDomainError
+from .errors import ConfigError, EvalDomainError
 from .expr import BinOp, Call, Const, Expr, Neg, Var, _frag, parse, to_text
 from .jets import JET_ORDERS, JET_SIZE, PRODUCT_ROWS
 
@@ -203,8 +203,9 @@ class _Emitter:
 
     def power(self, u, n: int, k: int):
         if abs(n) > _MAX_INT_EXPONENT:
-            raise ValueError(
-                f"integer exponent {n} exceeds the supported magnitude {_MAX_INT_EXPONENT}"
+            raise ConfigError(
+                f"integer exponent {n} in {self.frags[k]!r} exceeds the supported "
+                f"magnitude {_MAX_INT_EXPONENT}"
             )
         m, base, acc = abs(n), u, self.constant(1.0)
         while m:

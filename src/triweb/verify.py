@@ -164,12 +164,14 @@ def diagonal_seeds(domain: Domain, n: int):
 
     Candidates are placed at even fractions; whenever exclusions swallow
     some of them, the subdivision is refined until n admissible points
-    exist, keeping placement deterministic.
+    exist, keeping placement deterministic.  Refinement stops at
+    min(100 n, n + 1000) candidates, so a failing placement costs
+    O(1000 n) admissibility tests, not O(100 n^2).
     """
     if n < 1:
         raise ConfigError("need at least one seed")
     m = n
-    while m <= 100 * n:
+    while m <= min(100 * n, n + 1000):
         fractions = [(i + 1) / (m + 1) for i in range(m)]
         pts = domain.diagonal_points(fractions)
         adm = [

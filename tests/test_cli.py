@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import triweb
 from triweb.cli import (
@@ -24,7 +28,8 @@ from triweb.cli import (
     build_parser,
     main,
 )
-from triweb.errors import ConfigError
+from triweb.errors import ConfigError, ParseError
+from triweb.expr import parse
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +45,14 @@ def _child_env() -> dict:
 def run(argv, capsys=None):
     code = main(argv)
     return code
+
+
+def _parses(text) -> bool:
+    try:
+        parse(text)
+    except ParseError:
+        return False
+    return True
 
 
 def read_csv(path):
@@ -768,6 +781,46 @@ class TestParseCommand:
 
     def test_domain_violation_at_point_is_numeric_failure(self):
         assert main(["parse", "ln(x)", "--at", "-1", "0"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["parse", "x+\u00b2"], "illegal character '\u00b2' (at offset 2"),
+            (["parse", "1e999"], "literal '1e999' overflows (at offset 0"),
+            (["parse", "x^2000", "--at", "1", "1"], "integer exponent 2000 in 'x^2000'"),
+            (["analyze", "--web", "x", "y", "x^2000"], "integer exponent 2000 in 'x^2000'"),
+        ],
+    )
+    def test_bad_expression_is_one_error_line(self, tmp_path, capsys, argv, message):
+        out = ["--out", str(tmp_path)] if argv[0] == "analyze" else []
+        assert main([*argv, *out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_nesting_at_the_recursion_limit(self):
+        # the deepest chains of unary minus that parse may still be too deep
+        # for the printer or the jet emitter
+        deepest = next(n for n in range(sys.getrecursionlimit(), 0, -1) if _parses("-" * n + "x"))
+        for n in range(deepest - 3, deepest + 1):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["parse", "--at", "0.5", "0.5", "--", "-" * n + "x"]) in (0, 2)
+
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.sampled_from(
+                    ["x", "y", "1", ".5", "2e-3", "1e999", "\u00b2", "\u0661", "\u00e9",
+                     "x^2000", "x^400", "exp(", "ln(", "sqrt(", "(", ")", "+", "-", "*",
+                     "/", "^", ",", " "]
+                ),
+                max_size=12,
+            ).map("".join),
+        )
+    )
+    def test_any_expression_text_exits_cleanly(self, text):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["parse", "--at", "0.5", "0.5", "--", text]) in (0, 2, 3)
 
 
 class TestMoreCommandPaths:

@@ -107,6 +107,37 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("x+")
 
+    @pytest.mark.parametrize(
+        "bad, char, offset",
+        [("x+\u00b2", "\u00b2", 2), ("x+\u0661", "\u0661", 2), ("x\u00e9", "\u00e9", 1)],
+    )
+    def test_non_ascii_is_illegal(self, bad, char, offset):
+        # Unicode digits and letters are not numbers or names: '\u0661' is not 1
+        with pytest.raises(ParseError, match=f"illegal character {char!r}") as exc:
+            parse(bad)
+        assert exc.value.offset == offset
+
+    def test_unicode_whitespace_is_whitespace(self):
+        assert parse("x\u00a0+\u2003y") == parse("x+y")
+
+    @pytest.mark.parametrize("bad, offset", [("1e999", 0), ("x+2e308*y", 2)])
+    def test_overflowing_literal(self, bad, offset):
+        with pytest.raises(ParseError, match="overflows") as exc:
+            parse(bad)
+        assert exc.value.offset == offset
+
+    def test_earlier_syntax_error_wins_over_overflow(self):
+        # the overflow check runs when the atom is built, after the scan
+        with pytest.raises(ParseError, match="illegal character") as exc:
+            parse("1e999 + $")
+        assert exc.value.offset == 8
+        with pytest.raises(ParseError, match="unexpected 'y'"):
+            parse("x y 1e999")
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse("-" * 5000 + "x")
+
 
 class TestPrinter:
     @pytest.mark.parametrize("text", [t for t, _ in CORPUS])
@@ -156,6 +187,22 @@ def test_roundtrip_random_trees(e):
     assert parse(to_text(e)) == e
 
 
+_PIECES = st.sampled_from(
+    ["x", "y", "1", "2.5", ".5", "3.", "1e3", "2E-4", "1e", "e", "exp", "ln", "sin", "cos",
+     "sqrt", "foo", "x1", "_", "(", ")", ",", "+", "-", "*", "/", "^", " ", "\t", "$", ".",
+     "1e999", "\u00b2", "\u0661", "\u00e9", "\u00a0", "x^2000"]
+)
+
+
+@given(st.one_of(st.text(), st.lists(_PIECES, max_size=16).map("".join)))
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        e = parse(text)
+    except ParseError:
+        return
+    assert parse(to_text(e)) == e
+
+
 class TestEvalValue:
     def test_matches_math(self):
         e = parse("sin(x)*cos(y)+ln(2+x)")
@@ -179,6 +226,18 @@ class TestEvalValue:
     def test_overflow(self):
         with pytest.raises(EvalDomainError, match="non-finite"):
             eval_value(parse("exp(1000*x)"), (1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "text, point", [("x^400", (10.0, 0.0)), ("x^1.5", (1e300, 0.0))]
+    )
+    def test_power_overflow(self, text, point):
+        with pytest.raises(EvalDomainError, match="overflow to non-finite") as exc:
+            eval_value(parse(text), point)
+        assert exc.value.fragment == text
+
+    def test_overflowed_trig_argument(self):
+        with pytest.raises(EvalDomainError, match="overflow to non-finite"):
+            eval_value(parse("sin(x*1e308)"), (10.0, 0.0))
 
     def test_fractional_power_needs_positive_base(self):
         assert eval_value(parse("x^0.5"), (4.0, 0.0)) == pytest.approx(2.0)

@@ -23,7 +23,7 @@ from conftest import (
     product_coeffs,
     random_expression_pairs,
 )
-from triweb.errors import EvalDomainError
+from triweb.errors import ConfigError, EvalDomainError
 from triweb.expr import parse
 from triweb.jets import JET_INDEX, JET_ORDERS, JET_SIZE, PRODUCT_ROWS
 from triweb.kernels import (
@@ -225,6 +225,11 @@ class TestEvaluatorErrors:
 
     def test_integer_power_allows_negative_base(self):
         assert eval_jet3("x^3", (-2.0, 0.0))[0] == -8.0
+
+    def test_integer_exponent_cap_is_a_config_error(self):
+        assert eval_jet3("x^-1000", (1.0, 0.0))[0] == 1.0
+        with pytest.raises(ConfigError, match=r"-2000 in '\(1\+x\)\^-2000' exceeds"):
+            compile_expr("(1+x)^-2000")
 
 
 # every point-error case above and in TestBatch, as (text, point)

@@ -22,7 +22,7 @@ from triweb.verify import (
     verify_linearization,
     verify_map,
 )
-from triweb.web import Domain, ThreeWeb
+from triweb.web import DEFAULT_BOX, Domain, ThreeWeb
 
 E_INV = math.exp(-1.0)
 
@@ -197,6 +197,24 @@ class TestSeeds:
     def test_count_validation(self, free_box):
         with pytest.raises(ConfigError):
             diagonal_seeds(free_box, 0)
+
+    def test_failing_placement_is_bounded(self, monkeypatch):
+        # the band around x = y swallows the whole diagonal; refinement stops
+        # at n + 1000 candidates, about 7e5 tests for n = 200 (not 2e8)
+        domain = Domain(DEFAULT_BOX, parse("x-y"), 0.1)
+        calls = 0
+        admissible = Domain.admissible
+
+        def spy(self, p):
+            nonlocal calls
+            calls += 1
+            if calls > 10**6:
+                raise AssertionError("seed placement is not bounded")
+            return admissible(self, p)
+
+        monkeypatch.setattr(Domain, "admissible", spy)
+        with pytest.raises(ConfigError, match="could not place 200"):
+            diagonal_seeds(domain, 200)
 
 
 class TestFoliationLinearity:
