@@ -110,13 +110,22 @@ class ParallelizabilityReport:
 
 
 def curvature_grid(web: ThreeWeb, survey: Survey):
-    """(xs, ys, K) at every point of ``survey``; raises on evaluation
-    failures or degenerate directions, naming the point."""
+    """(xs, ys, K) at every point of ``survey``, K one array; raises on
+    evaluation failures or degenerate directions, naming the point, a jet
+    failure anywhere before a degenerate direction."""
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
     prog = web.web_function.program
-    (c,) = survey.jets([prog], order=3)
-    return survey.xs, survey.ys, _curvature(prog, survey.xs, survey.ys, c)
+    kappa, degenerate = np.empty(survey.xs.size), None
+    for part, (c,) in survey.jets([prog], order=3):
+        if degenerate is None:
+            try:
+                kappa[part] = _curvature(prog, survey.xs[part], survey.ys[part], c)
+            except EvalDomainError as exc:  # raised after the pass: a jet failure comes first
+                degenerate = exc
+    if degenerate is not None:
+        raise degenerate
+    return survey.xs, survey.ys, kappa
 
 
 def parallelizability_report(

@@ -214,19 +214,57 @@ def to_text(e: Expr) -> str:
     the output reproduces the tree for arbitrarily nested input, not just
     for trees the parser itself built.
     """
+    return _printer()(e)
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Neg):
+        return (e.child,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    return ()
+
+
+def _printer():
+    """A function printing a node as :func:`to_text` does, without recursion.
+    It keeps the text of every node it printed, by id, so the caller's tree
+    must stay alive; each node is printed once, from its children's texts."""
+    printed: dict[int, str] = {}
+
+    def text(e: Expr) -> str:
+        todo = [e]
+        while todo:
+            node = todo.pop()
+            if id(node) in printed:
+                continue
+            kids = [c for c in _children(node) if id(c) not in printed]
+            if kids:
+                todo += [node, *kids]
+            else:
+                printed[id(node)] = _render(node, lambda c: printed[id(c)])
+        return printed[id(e)]
+
+    return text
+
+
+def _render(e: Expr, text) -> str:
+    """The text of ``e`` as :func:`to_text` prints it, ``text`` giving its
+    children's."""
     if isinstance(e, Const):
         return _fmt_const(e.value)
     if isinstance(e, Var):
         return "xy"[e.axis]
     if isinstance(e, Neg):
-        inner = to_text(e.child)
+        inner = text(e.child)
         if _prec(e.child) < _PREC["neg"]:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, Call):
-        return f"{e.fn}({to_text(e.arg)})"
+        return f"{e.fn}({text(e.arg)})"
     if isinstance(e, BinOp):
-        lt, rt = to_text(e.left), to_text(e.right)
+        lt, rt = text(e.left), text(e.right)
         p = _PREC[e.op]
         if e.op == "^":
             if _prec(e.left) <= p:  # right-assoc: nested base needs parens
@@ -247,10 +285,19 @@ def to_text(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _frag(e: Expr, src: str | None) -> str:
-    if src is not None and e.span != _SPAN_NONE:
-        return src[e.span[0] : e.span[1]]
-    return to_text(e)
+def fragments(src: str | None):
+    """A function from a node of a tree parsed from ``src`` (None: built
+    without text) to its source fragment: its span of ``src``, or else its
+    :func:`to_text` form.  It prints each node at most once, from its
+    children's texts, so naming every node of a tree takes linear work."""
+    text = _printer()
+
+    def frag(e: Expr) -> str:
+        if src is not None and e.span != _SPAN_NONE:
+            return src[e.span[0] : e.span[1]]
+        return text(e)
+
+    return frag
 
 
 def eval_value(e: Expr, point) -> float:

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, EvalDomainError
-from .expr import BinOp, Call, Const, Expr, Neg, Var, _frag, parse, to_text
+from .expr import BinOp, Call, Const, Expr, Neg, Var, fragments, parse
 from .jets import JET_ORDERS, JET_SIZE, PRODUCT_ROWS
 
 # error codes of jet_coeffs_many
@@ -49,7 +49,7 @@ _ERR_TEXT = {
 }
 
 _MAX_INT_EXPONENT = 1000
-_CHUNK = 16384  # points per batch pass, so the temporaries stay in cache
+_CHUNK = 16384  # points per batch pass: temporaries stay in cache, grid reports in bounded memory
 
 _ORDER = tuple(i + j for i, j in JET_ORDERS)
 _ZERO = (0.0,) * JET_SIZE
@@ -92,8 +92,8 @@ class _Emitter:
     :meth:`render` writes it for one binding.  The generated source holds
     only generated names and float literals."""
 
-    def __init__(self, source: str | None, order: int):
-        self.source = source
+    def __init__(self, frag: Callable, order: int):
+        self.frag = frag
         self.order = order
         self.size = sum(1 for o in _ORDER if o <= order)
         self.lines: list = []
@@ -126,7 +126,7 @@ class _Emitter:
         return "\n".join(out) + "\n"
 
     def op(self, node: Expr) -> int:
-        self.frags.append(_frag(node, self.source))
+        self.frags.append(self.frag(node))
         return len(self.frags) - 1
 
     def domain(self, v, code: int, k: int):
@@ -335,7 +335,8 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
     if isinstance(e, str):
         source = e
         e = parse(e)
-    emitters = [_Emitter(source, order) for order in (1, 3)]
+    frag = fragments(source)  # shared, so each node is printed once per compile
+    emitters = [_Emitter(frag, order) for order in (1, 3)]
     results = [em.jet(e) for em in emitters]
     frags = tuple(emitters[-1].frags)  # the same ops at every order
 
@@ -348,10 +349,15 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
         em.order: _bind(em.render(result, hook=True), _ARRAY_NAMES)
         for em, result in zip(emitters, results)
     }
-    source = source if source is not None else to_text(e)
+    source = source if source is not None else frag(e)
     grad = results[0][1:]
     grad = None if any(isinstance(v, str) for v in grad) else grad
     return Program(frags, source, at_point, on_arrays, point_code, fail, grad)
+
+
+def chunks(n: int):
+    """Slices of at most _CHUNK of ``n`` points, in order: one batch pass each."""
+    return (slice(lo, lo + _CHUNK) for lo in range(0, n, _CHUNK))
 
 
 def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> None:
@@ -386,8 +392,7 @@ def jet_coeffs_many(program: Program, xs, ys, order: int = 3):
     codes = np.zeros(xs.size, dtype=np.int64)
     opidx = np.full(xs.size, -1, dtype=np.int64)
     with np.errstate(all="ignore"):
-        for lo in range(0, xs.size, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
+        for part in chunks(xs.size):
             check = partial(_record, codes[part], opidx[part])
             for k, v in enumerate(jet(xs[part], ys[part], check)):
                 out[part, k] = v

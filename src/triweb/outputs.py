@@ -11,6 +11,11 @@ CSV fields are the bytes of ``'%.17g' % v``, computed exactly in numpy by
 in two 64-bit limbs, and a right shift of at most 63 bits rounds half to
 even on the exact remainder.  That covers zero and normal values from 1e-11
 to 1e17; Python's ``%`` prints the rest.  Rows go out _CHUNK_ROWS at a time.
+A column that repeats its values (a grid's x and y, a leaf's foliation and
+level) is formatted through a table of its distinct values, made once per
+file and copied into each chunk's lines, unless it has more than
+_CHUNK_ROWS of them; so a writer's working memory does not grow with the
+rows.
 
 All writers are deterministic: identical inputs produce byte-identical
 files.
@@ -143,53 +148,91 @@ def _g_text(values, digits: int, out=None) -> np.ndarray:
     return out
 
 
-def _csv_lines(pieces, distinct) -> bytearray:
+def _chunks(blocks):
+    """The rows of ``blocks``, tuples of columns of one length, as lists of
+    pieces (slices of one block's columns) of at most _CHUNK_ROWS rows in all."""
+    pieces, size = [], 0
+    for columns in blocks:
+        for a in range(0, len(columns[0]), _CHUNK_ROWS):
+            piece = [c[a : a + _CHUNK_ROWS] for c in columns]
+            if size + len(piece[0]) > _CHUNK_ROWS:
+                yield pieces
+                pieces, size = [], 0
+            pieces.append(piece)
+            size += len(piece[0])
+    if pieces:
+        yield pieces
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The first item of each run of equal items of the nonempty ``a``."""
+    return a[np.r_[True, a[1:] != a[:-1]]]
+
+
+def _tables(chunks, distinct) -> dict:
+    """Column number -> (bits, texts) for the columns numbered in ``distinct``,
+    which repeat their values: each distinct value of the column in all
+    ``chunks`` (by bits: -0.0 is not 0.0), sorted by its bits, and its text as
+    one void item; every table of the file comes from one kernel call.  A
+    column with more than _CHUNK_ROWS distinct values gets no table, as its
+    table would grow with the file: it is formatted chunk by chunk."""
+    seen = {j: np.empty(0, np.int64) for j in distinct}
+    for pieces in chunks:
+        for j, known in list(seen.items()):
+            bits = np.concatenate([piece[j] for piece in pieces], dtype=float).view(np.int64)
+            # runs of one value first; sorting beats np.unique here, in time and in RSS
+            seen[j] = known = _run_starts(np.sort(np.concatenate((known, _run_starts(bits)))))
+            if known.size > _CHUNK_ROWS:
+                del seen[j]
+    seen = {j: known for j, known in seen.items() if known.size}
+    if not seen:
+        return {}
+    texts = _g_text(np.concatenate(list(seen.values())).view(float), CSV_FLOAT_DIGITS)
+    tables = {}
+    ends = np.cumsum([known.size for known in seen.values()])[:-1]
+    for (j, known), text in zip(seen.items(), np.split(texts, ends)):
+        text = np.ascontiguousarray(text[:, text.any(axis=0)])
+        tables[j] = known, text.view(f"V{text.shape[1]}")[:, 0]
+    return tables
+
+
+def _csv_lines(pieces, tables) -> bytearray:
     """CSV lines of ``pieces``, lists of columns, every field in the form of
-    ``fmt``.  The columns numbered in ``distinct`` repeat their values, so
-    each of their distinct values (by bits: -0.0 is not 0.0) is formatted once."""
+    ``fmt``: a column with a table of :func:`_tables` copies its texts from it,
+    the others go through the kernel."""
     cols = [np.concatenate(c, dtype=float) for c in zip(*pieces)]
-    uniques = []
-    for j in distinct:
-        bits = cols[j].view(np.int64)
-        u = np.sort(bits[np.r_[True, bits[1:] != bits[:-1]]])  # runs of one value first
-        uniques.append(u[np.r_[True, u[1:] != u[:-1]]])
-    # one kernel call for every distinct column: its fixed cost dominates short files
-    texts = _g_text(np.concatenate(uniques).view(float), CSV_FLOAT_DIGITS)
-    ends = np.cumsum([u.size for u in uniques])[:-1]
-    same = {j: text[:, text.any(axis=0)][u.searchsorted(cols[j].view(np.int64))]
-            for j, u, text in zip(distinct, uniques, np.split(texts, ends))}
-    widths = [same[j].shape[1] if j in same else 2 * CSV_FLOAT_DIGITS + 9 for j in range(len(cols))]
+    widths = [tables[j][1].itemsize if j in tables else 2 * CSV_FLOAT_DIGITS + 9
+              for j in range(len(cols))]
     lines = bytearray(len(cols[0]) * (sum(widths) + len(widths)))
     out = np.frombuffer(lines, np.uint8).reshape(len(cols[0]), -1)
     end = 0
     for j, w in enumerate(widths):
-        if j in same:
-            out[:, end : end + w] = same[j]
+        field = out[:, end : end + w]
+        if j in tables:
+            # every value is in the table; "clip" writes straight into the lines
+            bits, texts = tables[j]
+            at = bits.searchsorted(cols[j].view(np.int64))
+            np.take(texts, at, out=field.view(texts.dtype)[:, 0], mode="clip")
         else:
-            _g_text(cols[j], CSV_FLOAT_DIGITS, out[:, end : end + w])
+            _g_text(cols[j], CSV_FLOAT_DIGITS, field)
         end += w + 1
         out[:, end - 1] = 44  # ","
     out[:, -1] = 10  # "\n"
-    del cols, same  # before translate copies the lines
+    del cols  # before translate copies the lines
     return lines.translate(None, b"\0")
 
 
 def _write_csv(path: Path | str, header: str, blocks, distinct, footer: str = "") -> None:
     """Write ``blocks``, tuples of columns of one length, as CSV lines under
-    ``header``, at most _CHUNK_ROWS rows at a time; ``footer`` ends the file."""
+    ``header``, at most _CHUNK_ROWS rows at a time; ``footer`` ends the file.
+    The columns numbered in ``distinct`` repeat their values, so each of
+    their distinct values is formatted once per file (see :func:`_tables`)."""
+    blocks = list(blocks)
+    tables = _tables(_chunks(blocks), distinct)
     with Path(path).open("wb") as f:
         f.write(f"{header}\n".encode())
-        pieces, size = [], 0
-        for columns in blocks:
-            for a in range(0, len(columns[0]), _CHUNK_ROWS):
-                piece = [c[a : a + _CHUNK_ROWS] for c in columns]
-                if size + len(piece[0]) > _CHUNK_ROWS:
-                    f.write(_csv_lines(pieces, distinct))
-                    pieces, size = [], 0
-                pieces.append(piece)
-                size += len(piece[0])
-        if pieces:
-            f.write(_csv_lines(pieces, distinct))
+        for pieces in _chunks(blocks):
+            f.write(_csv_lines(pieces, tables))
         f.write(footer.encode())
 
 

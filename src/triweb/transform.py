@@ -15,6 +15,7 @@ here inverts a map symbolically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,23 +88,22 @@ def diffeo_report(
 ) -> DiffeoReport:
     """Grid certificate of local invertibility: |det J| >= threshold at
     every point of ``survey``."""
-    xs, ys = survey.xs, survey.ys
-    c1, c2 = survey.jets(m.programs)
-    dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
-
-    absdet = np.abs(dets)
-    failing = np.nonzero(absdet < threshold)[0]
-    failures = tuple(
-        (float(xs[i]), float(ys[i]), float(dets[i]))
-        for i in sorted(failing, key=lambda i: (xs[i], ys[i]))
-    )
+    failures, min_abs = [], math.inf
+    for part, (c1, c2) in survey.jets(m.programs):
+        dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
+        absdet = np.abs(dets)
+        min_abs = np.minimum(min_abs, absdet.min())  # nan if any is nan, as in one pass
+        xs, ys = survey.xs[part], survey.ys[part]
+        failures += [(float(xs[i]), float(ys[i]), float(dets[i]))
+                     for i in np.nonzero(absdet < threshold)[0]]
+    failures.sort(key=lambda f: f[:2])
     return DiffeoReport(
-        verdict=failing.size == 0,
-        min_abs_det=float(absdet.min()),
-        failures=failures,
+        verdict=not failures,
+        min_abs_det=float(min_abs),
+        failures=tuple(failures),
         nx=survey.nx,
         ny=survey.ny,
-        n_admissible=int(xs.size),
+        n_admissible=int(survey.xs.size),
         threshold=threshold,
     )
 

@@ -15,6 +15,11 @@ one step.  Constant gradients are folded by the same float operations,
 bit for bit, and the text is cached by the strings it is built from,
 never by webs.
 
+Grid reports read one :class:`Survey`, the admissible points of a grid
+over the box, and take its jets a chunk of points at a time
+(``Survey.jets``), so their working memory beyond the survey's points is
+bounded however fine the grid; the survey itself is built by chunks too.
+
 All types are immutable after construction, but for a domain's bound
 walkers, and every operation is pure; batch work over seeds or grid
 points can run concurrently without coordination.
@@ -35,6 +40,7 @@ from .kernels import (
     ERR_OK,
     Program,
     bind_inline,
+    chunks,
     compile_expr,
     inline_source,
     jet_coeffs,
@@ -176,10 +182,26 @@ class Survey:
             view.setflags(write=False)
             object.__setattr__(self, name, view)
 
-    def jets(self, programs, order: int = 1) -> list[np.ndarray]:
-        """Each program's batch jets at ``order``, one row per point; raises
-        :class:`EvalDomainError` naming the first point where one fails."""
-        return [jet_coeffs_or_raise(p, self.xs, self.ys, order) for p in programs]
+    def jets(self, programs, order: int = 1):
+        """The programs' batch jets at ``order``, one chunk of points (see
+        :func:`~triweb.kernels.chunks`) at a time: yields (part, jets), the
+        slice of ``xs`` and ``ys`` and a list of one array per program, one
+        row per point.  Raises :class:`EvalDomainError` as whole-survey jets
+        would: for the first program, in list order, that fails at any
+        point, naming its first failing point.  It raises on reaching the
+        first chunk where any program fails, so a caller that defers its own
+        errors to the end of the pass lets every jet failure come first."""
+        programs = list(programs)
+        n = self.xs.size
+        for part in chunks(n):
+            xs, ys = self.xs[part], self.ys[part]
+            results = [jet_coeffs_many(p, xs, ys, order) for p in programs]
+            failed = [k for k, (_, codes, _) in enumerate(results) if codes.any()]
+            if failed:  # an earlier program may fail in a later chunk only, and still wins
+                for p in programs[: failed[0] + 1]:
+                    for at in chunks(n):
+                        jet_coeffs_or_raise(p, self.xs[at], self.ys[at], order)
+            yield part, [out for out, _, _ in results]
 
 
 @dataclass(frozen=True)
@@ -252,10 +274,20 @@ class Domain:
         if nx < 2 or ny < 2:
             raise ConfigError(f"grid must be at least 2x2, got {nx}x{ny}")
         xmin, xmax, ymin, ymax = self.box
-        xx, yy = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
-        xs, ys = xx.ravel(), yy.ravel()
-        mask = self.admissible_mask(xs, ys)
-        return Survey(xs[mask], ys[mask], mask.size, nx, ny)
+        gx, gy = np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny)
+        # one chunk of grid points at a time: the mask (one byte a point) and
+        # the admissible points are all that outlive a chunk
+        mask = np.empty(nx * ny, dtype=bool)
+        for part in chunks(mask.size):
+            row, col = np.divmod(np.arange(*part.indices(mask.size)), nx)
+            mask[part] = self.admissible_mask(gx[col], gy[row])
+        xs, ys = np.empty((2, np.count_nonzero(mask)))
+        end = 0
+        for part in chunks(mask.size):
+            row, col = np.divmod(np.flatnonzero(mask[part]) + part.start, nx)
+            xs[end : end + col.size], ys[end : end + col.size] = gx[col], gy[row]
+            end += col.size
+        return Survey(xs, ys, mask.size, nx, ny)
 
     def diagonal_points(self, fractions) -> np.ndarray:
         xmin, xmax, ymin, ymax = self.box
@@ -423,28 +455,25 @@ class GeneralPositionReport:
 def general_position_report(web: ThreeWeb, survey: Survey) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
     three foliations at every point of ``survey``."""
-    xs, ys = survey.xs, survey.ys
-    g1, g2, g3 = (jet[:, 1:] for jet in survey.jets([fol.program for fol in web.foliations]))
     failures: list[GridFailure] = []
-
-    for idx, g in enumerate((g1, g2, g3), start=1):
-        norms = np.hypot(g[:, 0], g[:, 1])
-        for i in np.nonzero(norms < EPS_GRAD)[0]:
-            failures.append(
-                GridFailure(float(xs[i]), float(ys[i]), f"grad{idx}", float(norms[i]))
-            )
+    pairs = ((1, 2), (1, 3), (2, 3))
+    mins = [math.inf] * len(pairs)  # per pair, nan if any det is nan, as in one pass
+    for part, jets in survey.jets([fol.program for fol in web.foliations]):
+        xs, ys = survey.xs[part], survey.ys[part]
+        g = [jet[:, 1:] for jet in jets]
+        checks = [(f"grad{k}", np.hypot(gk[:, 0], gk[:, 1]), EPS_GRAD) for k, gk in enumerate(g, 1)]
+        for k, (a, b) in enumerate(pairs):
+            ga, gb = g[a - 1], g[b - 1]
+            det = np.abs(ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0])
+            mins[k] = np.minimum(mins[k], det.min())
+            checks.append((f"pair{a}{b}", det, EPS_GP))
+        for check, values, floor in checks:
+            for i in np.nonzero(values < floor)[0]:
+                failures.append(GridFailure(float(xs[i]), float(ys[i]), check, float(values[i])))
 
     min_det = math.inf
-    for (ia, ga), (ib, gb) in (((1, g1), (2, g2)), ((1, g1), (3, g3)), ((2, g2), (3, g3))):
-        det = np.abs(ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0])
-        min_det = min(min_det, float(det.min()))
-        for i in np.nonzero(det < EPS_GP)[0]:
-            failures.append(
-                GridFailure(
-                    float(xs[i]), float(ys[i]), f"pair{ia}{ib}", float(det[i])
-                )
-            )
-
+    for m in mins:
+        min_det = min(min_det, float(m))
     failures.sort(key=lambda f: (f.x, f.y, f.check))
     return GeneralPositionReport(
         verdict=not failures,
@@ -452,7 +481,7 @@ def general_position_report(web: ThreeWeb, survey: Survey) -> GeneralPositionRep
         failures=tuple(failures),
         nx=survey.nx,
         ny=survey.ny,
-        n_admissible=int(xs.size),
+        n_admissible=int(survey.xs.size),
         n_total=survey.n_total,
     )
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import triweb.expr
 import triweb.kernels
 from conftest import (
     CORPUS,
@@ -379,3 +380,20 @@ class TestCodeCache:
                     jet_coeffs(prog, -1.0, 0.0, order)
                 assert exc.value.fragment == fragment
                 assert exc.value.point == (-1.0, 0.0)
+
+    def test_a_tree_is_printed_once_per_compile(self, monkeypatch):
+        # a tree without its text names each op by printing it; printing each
+        # subtree again, per op, was quadratic in the depth of the tree
+        renders = []
+        real = triweb.expr._render
+
+        def spy(e, text):
+            renders.append(e)
+            return real(e, text)
+
+        monkeypatch.setattr(triweb.expr, "_render", spy)
+        n = 300
+        prog = compile_expr(parse("-" * n + "x"))
+        assert len(renders) == n + 1  # one print per node, for both orders
+        assert prog.frags == tuple("-" * k + "x" for k in range(n + 1))
+        assert prog.source == "-" * n + "x"

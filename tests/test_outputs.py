@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triweb.outputs
 from triweb.outputs import (
     _FOLIATION_COLORS,
     _g_text,
@@ -127,12 +128,55 @@ class TestWriterMemory:
         xs, ys = np.tile(g, 500), np.repeat(g, 500)
         assert self.peak(write_curvature_csv, xs, ys, xs * ys - 0.5) < self.BOUND
 
+    def test_curvature_csv_of_1m_rows(self):
+        g = np.linspace(-2, 2, 1000)
+        xs, ys = np.tile(g, 1000), np.repeat(g, 1000)
+        assert self.peak(write_curvature_csv, xs, ys, xs * ys - 0.5) < self.BOUND
+
+    def test_scattered_curvature_csv(self):
+        # no coordinate repeats: a table of every distinct x would grow with the file
+        xs, ys = np.random.default_rng(5).uniform(-2, 2, (2, 100_000))
+        assert self.peak(write_curvature_csv, xs, ys, xs * ys) < self.BOUND
+
     def test_leaf_csv_of_one_long_leaf(self):
         t = np.linspace(0.0, 2000.0, 200_001)
         leaf = LeafPolyline.from_vertices(1, 0.5, np.column_stack((np.cos(t), 0.3 * np.sin(t))))
         assert self.peak(write_leaf_csv, [leaf]) < self.BOUND
         assert self.peak(write_leaf_csv, [(leaf, 1)], True) < self.BOUND
 
+
+
+class TestCoordinateTables:
+    def test_grid_coordinates_are_formatted_once_per_file(self, tmp_path, monkeypatch):
+        sizes = []
+        real = triweb.outputs._g_text
+
+        def spy(values, digits, out=None):
+            sizes.append(len(values))
+            return real(values, digits, out)
+
+        monkeypatch.setattr(triweb.outputs, "_g_text", spy)
+        g = np.linspace(-2, 2, 500)
+        xs, ys = np.tile(g, 500), np.repeat(g, 500)
+        path = tmp_path / "k.csv"
+        write_curvature_csv(path, xs, ys, xs - ys)
+        # the 500 x and 500 y values once, in one call, then K chunk by chunk
+        assert sizes[0] == 1000 and sum(sizes[1:]) == xs.size
+        assert len(sizes) == 1 + -(-xs.size // triweb.outputs._CHUNK_ROWS)
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        for i in (0, 1, 8191, 8192, 123_456, xs.size - 1):
+            assert lines[i].decode() == ",".join(fmt(v) for v in (xs[i], ys[i], xs[i] - ys[i]))
+
+    def test_signed_zero_and_repeats_across_chunks(self, tmp_path):
+        # -0.0 and 0.0 are distinct texts; a value first seen in a late chunk is in the table
+        n = 20_000
+        xs = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        xs[-1] = 7.25
+        ys = np.repeat([1.5, -2.0, 1e-300], [9000, 10_999, 1])
+        path = tmp_path / "k.csv"
+        write_curvature_csv(path, xs, ys, ys)
+        want = "".join(f"{fmt(x)},{fmt(y)},{fmt(y)}\n" for x, y in zip(xs, ys))
+        assert path.read_text() == f"x,y,K\n{want}"
 
 class TestJsonQuantization:
     def test_rounding_and_floor(self, tmp_path):

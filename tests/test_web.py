@@ -13,6 +13,7 @@ import math
 import re
 import sys
 import tokenize
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,9 +27,9 @@ import triweb.web
 from conftest import overlap_hausdorff
 from triweb.errors import ConfigError, EvalDomainError, TraceError
 from triweb.expr import parse
-from triweb.analysis import parallelizability_report
+from triweb.analysis import curvature_grid, parallelizability_report
 from triweb.kernels import jet_coeffs
-from triweb.transform import diffeo_report, identity_map
+from triweb.transform import PlaneMap, diffeo_report, identity_map, linearizing_map
 from triweb.web import (
     DEFAULT_GRID,
     EPS_GRAD,
@@ -88,7 +89,8 @@ class TestDomain:
             assert mask[i] == d.admissible((xs[i], ys[i]))
         # the survey keeps exactly these points, x varying fastest
         s = d.survey((11, 11))
-        assert (s.n_total, s.nx, s.ny) == (121, 11, 11) and s.jets([]) == []
+        assert (s.n_total, s.nx, s.ny) == (121, 11, 11)
+        assert [jets for _, jets in s.jets([])] == [[]]  # one chunk, no programs
         assert np.array_equal(s.xs, xs[mask]) and np.array_equal(s.ys, ys[mask])
 
     def test_survey_is_read_only_and_leaves_its_input(self, paper_web):
@@ -226,6 +228,100 @@ class TestGeneralPosition:
             for report in reports:
                 with pytest.raises(ConfigError, match="no admissible grid points"):
                     report(survey())
+
+
+class TestChunkedSurvey:
+    """Grid reports take their jets a chunk of points at a time
+    (``kernels._CHUNK``, made small here), with the results and the errors
+    of one pass over the whole survey."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(triweb.kernels, "_CHUNK", 4)
+
+    def reports(self, web, survey):
+        return (
+            general_position_report(web, survey).to_dict(),
+            diffeo_report(linearizing_map(web), survey).to_dict(),
+        )
+
+    def test_reports_do_not_depend_on_the_chunk(self, paper_web, monkeypatch):
+        # on the locus, with failures in many chunks, and off it
+        locus = ThreeWeb(paper_web.foliations, dataclasses.replace(paper_web.domain, margin=0.0))
+
+        def run():
+            s = paper_web.domain.survey((21, 19))
+            on_locus = self.reports(locus, locus.domain.survey((33, 33)))
+            return on_locus, self.reports(paper_web, s), curvature_grid(paper_web, s)[2]
+
+        whole = run()
+        monkeypatch.setattr(triweb.kernels, "_CHUNK", 5)
+        chunked = run()
+        assert chunked[:2] == whole[:2] and whole[0][0]["n_failures"] > 0
+        assert np.array_equal(chunked[2], whole[2])
+
+    def test_survey_does_not_depend_on_the_chunk(self, paper_web, small_chunks):
+        d = paper_web.domain
+        xx, yy = np.meshgrid(np.linspace(-2, 2, 13), np.linspace(-2, 2, 7))
+        mask = d.admissible_mask(xx.ravel(), yy.ravel())
+        s = d.survey((13, 7))
+        assert np.array_equal(s.xs, xx.ravel()[mask]) and np.array_equal(s.ys, yy.ravel()[mask])
+        assert [part for part, _ in s.jets([])] == [slice(lo, lo + 4) for lo in range(0, s.xs.size, 4)]
+
+    @pytest.mark.parametrize("report", [
+        lambda w, s: general_position_report(w, s),
+        lambda w, s: diffeo_report(PlaneMap(*w.foliations[:2]), s),
+    ])
+    def test_first_program_to_fail_wins_across_chunks(self, small_chunks, report):
+        # F1 fails only from y = 1.5, in a late chunk; F2 at x = -2, from the first
+        w = ThreeWeb.from_integrals(("sqrt(1.5-y)", "ln(x+1.9)", "x+y"), Domain())
+        with pytest.raises(EvalDomainError) as err:
+            report(w, w.domain.survey((9, 9)))
+        assert (err.value.fragment, err.value.point) == ("sqrt(1.5-y)", (-2.0, 1.5))
+
+    def test_jet_failure_comes_before_a_degenerate_direction(self, small_chunks):
+        # f_x = 2x vanishes at (0, -1), in the first chunk; ln(1-y) fails at y = 1, in the last
+        w = ThreeWeb.from_integrals(("x", "y", "x^2+y+ln(1-y)"), Domain((-1, 1, -1, 1)))
+        with pytest.raises(EvalDomainError) as err:
+            curvature_grid(w, w.domain.survey((5, 5)))
+        assert (err.value.fragment, err.value.point) == ("ln(1-y)", (-1.0, 1.0))
+        # without the failure, the first degenerate point is named
+        w = ThreeWeb.from_integrals(("x", "y", "x^2+y"), Domain((-1, 1, -1, 1)))
+        with pytest.raises(EvalDomainError, match="degenerate direction") as err:
+            curvature_grid(w, w.domain.survey((5, 5)))
+        assert err.value.point == (0.0, -1.0)
+
+
+class TestGridMemory:
+    """The survey and its reports hold the admissible points, K and one chunk
+    of jets, not jets of every grid point: at 1000 x 1000 their traced peak
+    stays under 40 bytes a grid point (about 126 with whole-survey jets)."""
+
+    N = 1000
+
+    def bytes_per_point(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / self.N**2
+        finally:
+            tracemalloc.stop()
+
+    def test_analyze_reports(self, paper_web):
+        def run():
+            s = paper_web.domain.survey((self.N, self.N))
+            general_position_report(paper_web, s)
+            parallelizability_report(paper_web, s)
+
+        assert self.bytes_per_point(run) <= 40
+
+    def test_verify_map_reports(self, paper_web):
+        def run():
+            s = paper_web.domain.survey((self.N, self.N))
+            general_position_report(paper_web, s)
+            diffeo_report(linearizing_map(paper_web), s)
+
+        assert self.bytes_per_point(run) <= 40
 
 
 class TestTraceLeaf:
