@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
 from .kernels import jet_coeffs, jet_coeffs_or_raise
-from .web import H_STEP, Survey, ThreeWeb, _walk_arc
+from .web import H_STEP, Survey, ThreeWeb, walk_on_leaf
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
@@ -268,11 +268,10 @@ def hexagon_defect(
         raise HexagonError(f"hexagon center {O} is not admissible")
     max_leg_arc = 6.0 * radius + 0.25
 
-    jets = [jet_coeffs(fol.program, O[0], O[1], order=1) for fol in web.foliations]
-    levels = [jet[0] for jet in jets]
+    levels = [jet_coeffs(fol.program, O[0], O[1], order=1)[0] for fol in web.foliations]
 
     try:
-        leg0 = _walk_arc(web.foliation(1), jets[0], O, radius, web.domain)
+        leg0 = walk_on_leaf(web.foliation(1), O, radius, web.domain)
     except TraceError as exc:
         raise HexagonError(f"radius walk failed: {exc}") from None
 

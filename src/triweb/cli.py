@@ -49,7 +49,7 @@ from .verify import (
     DEFAULT_SEEDS,
     diagonal_seeds,
     family_line,
-    paper_line,
+    verify_linearization,
     verify_map,
 )
 from .web import (
@@ -328,19 +328,18 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_pipeline(cfg: RunConfig, web: ThreeWeb, m: PlaneMap, line_formula=None) -> int:
-    """Run :func:`verify_map` on ``web`` and ``m`` with the config's pipeline
+def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
+    """Run ``pipeline`` (:func:`verify_map` with its map bound, or
+    :func:`verify_linearization`) on ``web`` with the config's pipeline
     settings, write the outputs, print the summary, and map the verdict to
     the exit code."""
-    report = verify_map(
+    report = pipeline(
         web,
-        m,
         seeds_per_foliation=cfg.seeds,
         tol=cfg.tol_linearity,
         grid=cfg.grid,
         max_arc=cfg.max_arc,
         diffeo_tol=cfg.tol_diffeo,
-        line_formula=line_formula,
         line_tol=cfg.tol_line,
     )
     out = cfg.out
@@ -478,8 +477,8 @@ def _cmd_verify_theorem(args) -> int:
     web = replace(cfg, builtin=cfg.builtin or "paper").build_web()
     m = cfg.build_map()
     if m is not None:  # the closed-form line check predicts the paper's map only
-        return _run_pipeline(cfg, web, m)
-    return _run_pipeline(cfg, web, linearizing_map(web), paper_line)
+        return _run_pipeline(cfg, web, functools.partial(verify_map, m=m))
+    return _run_pipeline(cfg, web, verify_linearization)
 
 
 def _cmd_verify_map(args) -> int:
@@ -488,7 +487,7 @@ def _cmd_verify_map(args) -> int:
     m = cfg.build_map()
     if m is None:
         raise ConfigError("verify-map needs --map (identity or two expressions)")
-    return _run_pipeline(cfg, web, m)
+    return _run_pipeline(cfg, web, functools.partial(verify_map, m=m))
 
 
 def _cmd_family(args) -> int:
@@ -496,7 +495,8 @@ def _cmd_family(args) -> int:
     if not (cfg.family_a and cfg.family_b):
         raise ConfigError("family needs --a and --b coefficient expressions")
     web = cfg.build_web()
-    return _run_pipeline(cfg, web, linearizing_map(web), family_line(cfg.family_a, cfg.family_b))
+    m, line = linearizing_map(web), family_line(cfg.family_a, cfg.family_b)
+    return _run_pipeline(cfg, web, functools.partial(verify_map, m=m, line_formula=line))
 
 
 # ---------------------------------------------------------------------------

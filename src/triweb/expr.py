@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import EvalDomainError, ParseError
+from .errors import ConfigError, EvalDomainError, ParseError
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -304,7 +304,8 @@ def eval_value(e: Expr, point) -> float:
     """Evaluate by direct tree walking.
 
     Independent of the jet kernels on purpose: validation code compares
-    the two paths against each other.
+    the two paths against each other.  A tree too deep to walk raises
+    :class:`ConfigError`.
     """
     x, y = float(point[0]), float(point[1])
 
@@ -375,7 +376,10 @@ def eval_value(e: Expr, point) -> float:
                 return a / b
         raise TypeError(f"not an Expr: {node!r}")
 
-    v = rec(e)
+    try:
+        v = rec(e)
+    except RecursionError:
+        raise ConfigError("expression nests too deeply") from None
     if not math.isfinite(v):
         raise EvalDomainError("overflow to non-finite", to_text(e), (x, y))
     return v
@@ -383,14 +387,12 @@ def eval_value(e: Expr, point) -> float:
 
 def depends_on_y(e: Expr) -> bool:
     """True when variable y occurs anywhere in the tree."""
-    if isinstance(e, Var):
-        return e.axis == 1
-    if isinstance(e, Neg):
-        return depends_on_y(e.child)
-    if isinstance(e, Call):
-        return depends_on_y(e.arg)
-    if isinstance(e, BinOp):
-        return depends_on_y(e.left) or depends_on_y(e.right)
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if is_var_y(node):
+            return True
+        todo += _children(node)
     return False
 
 

@@ -331,13 +331,17 @@ def bind_inline(code: str, programs: dict, names: dict, name: str) -> Callable:
 
 
 def compile_expr(e: Expr | str, source: str | None = None) -> Program:
-    """Generate and compile the jet code of an expression (or its text)."""
+    """Generate and compile the jet code of an expression (or its text).
+    A tree too deep to walk raises :class:`ConfigError`."""
     if isinstance(e, str):
         source = e
         e = parse(e)
     frag = fragments(source)  # shared, so each node is printed once per compile
     emitters = [_Emitter(frag, order) for order in (1, 3)]
-    results = [em.jet(e) for em in emitters]
+    try:
+        results = [em.jet(e) for em in emitters]
+    except RecursionError:
+        raise ConfigError("expression nests too deeply") from None
     frags = tuple(emitters[-1].frags)  # the same ops at every order
 
     def fail(code: int, k: int, x: float, y: float):

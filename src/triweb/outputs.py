@@ -11,11 +11,11 @@ CSV fields are the bytes of ``'%.17g' % v``, computed exactly in numpy by
 in two 64-bit limbs, and a right shift of at most 63 bits rounds half to
 even on the exact remainder.  That covers zero and normal values from 1e-11
 to 1e17; Python's ``%`` prints the rest.  Rows go out _CHUNK_ROWS at a time.
-A column that repeats its values (a grid's x and y, a leaf's foliation and
-level) is formatted through a table of its distinct values, made once per
-file and copied into each chunk's lines, unless it has more than
-_CHUNK_ROWS of them; so a writer's working memory does not grow with the
-rows.
+The writer finds the columns that repeat their values (a grid's x and y,
+a leaf's foliation and level, every column of a short file): each is
+formatted through a table of its distinct values, made once per file and
+copied into each chunk's lines, unless it has more than _CHUNK_ROWS of
+them; so a writer's working memory does not grow with the rows.
 
 All writers are deterministic: identical inputs produce byte-identical
 files.
@@ -169,14 +169,14 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return a[np.r_[True, a[1:] != a[:-1]]]
 
 
-def _tables(chunks, distinct) -> dict:
-    """Column number -> (bits, texts) for the columns numbered in ``distinct``,
-    which repeat their values: each distinct value of the column in all
-    ``chunks`` (by bits: -0.0 is not 0.0), sorted by its bits, and its text as
-    one void item; every table of the file comes from one kernel call.  A
-    column with more than _CHUNK_ROWS distinct values gets no table, as its
-    table would grow with the file: it is formatted chunk by chunk."""
-    seen = {j: np.empty(0, np.int64) for j in distinct}
+def _tables(chunks, width: int) -> dict:
+    """Column number -> (bits, texts) for each of the ``width`` columns that
+    repeats its values: each distinct value of the column in all ``chunks``
+    (by bits: -0.0 is not 0.0), sorted by its bits, and its text as one void
+    item; every table of the file comes from one kernel call.  A column with
+    more than _CHUNK_ROWS distinct values gets no table, as its table would
+    grow with the file: it is formatted chunk by chunk."""
+    seen = {j: np.empty(0, np.int64) for j in range(width)}
     for pieces in chunks:
         for j, known in list(seen.items()):
             bits = np.concatenate([piece[j] for piece in pieces], dtype=float).view(np.int64)
@@ -222,13 +222,13 @@ def _csv_lines(pieces, tables) -> bytearray:
     return lines.translate(None, b"\0")
 
 
-def _write_csv(path: Path | str, header: str, blocks, distinct, footer: str = "") -> None:
+def _write_csv(path: Path | str, header: str, blocks, footer: str = "") -> None:
     """Write ``blocks``, tuples of columns of one length, as CSV lines under
     ``header``, at most _CHUNK_ROWS rows at a time; ``footer`` ends the file.
-    The columns numbered in ``distinct`` repeat their values, so each of
-    their distinct values is formatted once per file (see :func:`_tables`)."""
+    Each distinct value of a column that repeats its values is formatted
+    once per file (see :func:`_tables`)."""
     blocks = list(blocks)
-    tables = _tables(_chunks(blocks), distinct)
+    tables = _tables(_chunks(blocks), header.count(",") + 1)
     with Path(path).open("wb") as f:
         f.write(f"{header}\n".encode())
         for pieces in _chunks(blocks):
@@ -248,25 +248,24 @@ def write_leaf_csv(path: Path | str, leaves, with_image: bool = False) -> None:
         return (*fixed[:2], leaf.arcs, *leaf.vertices.T, *fixed[2:])
 
     blocks = (block(*item) for item in leaves) if with_image else map(block, leaves)
-    header, distinct = (LEAF_IMAGE_HEADER, (0, 1, 5)) if with_image else (LEAF_HEADER, (0, 1))
-    _write_csv(path, header, blocks, distinct)
+    _write_csv(path, LEAF_IMAGE_HEADER if with_image else LEAF_HEADER, blocks)
 
 
 def write_curvature_csv(path: Path | str, xs, ys, kappa) -> None:
     """One grid point per row; ``xs``, ``ys`` and ``kappa`` are 1-d arrays."""
     if not len(xs) == len(ys) == len(kappa):
         raise ValueError(f"column lengths differ: {len(xs)}, {len(ys)}, {len(kappa)}")
-    _write_csv(path, CURVATURE_HEADER, [(xs, ys, kappa)], (0, 1))
+    _write_csv(path, CURVATURE_HEADER, [(xs, ys, kappa)])
 
 
 def write_hexagon_legs_csv(path: Path | str, figure: HexagonFigure) -> None:
     """Leg paths (leg 0 is the radius walk) plus a defect summary line."""
     blocks = ((np.broadcast_to(i, len(leg)), *leg.T) for i, leg in enumerate(figure.legs))
-    _write_csv(path, HEXAGON_LEGS_HEADER, blocks, (0,), f"defect={fmt(figure.defect)}\n")
+    _write_csv(path, HEXAGON_LEGS_HEADER, blocks, f"defect={fmt(figure.defect)}\n")
 
 
 def write_defect_table_csv(path: Path | str, radii, defects) -> None:
-    _write_csv(path, DEFECT_TABLE_HEADER, [(radii, defects)], (0,))
+    _write_csv(path, DEFECT_TABLE_HEADER, [(radii, defects)])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ regardless of integrator drift.  One generated function per walk
 (``Domain.walker``) inlines that step, the box test, the exclusion's jet
 and one stop test: a failing integral jet ends the walk as "domain_exit",
 a failing exclusion jet as "boundary", and a failing target jet raises.
-It is the only stepper: the hexagon's crossing refinement takes walks of
-one step.  Constant gradients are folded by the same float operations,
+It is the only stepper: :func:`walk_on_leaf`, which the hexagon's radius
+leg runs, walks a given arc length with it, and the hexagon's crossing
+refinement takes walks of one step.  Constant gradients are folded by the same float operations,
 bit for bit, and the text is cached by the strings it is built from,
 never by webs.
 
@@ -566,31 +567,11 @@ _WALK_ERRORS = {
 }
 
 
-def _walk_arc(fol: Foliation, jet, p0, arc: float, domain: Domain):
+def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> list[tuple[float, float]]:
     """Every point of a walk of signed arc length ``arc`` along the leaf of
-    ``fol`` from ``p0``, where its order-1 jet is ``jet``, in steps of
-    H_STEP and one final remainder.
-
-    Raises :class:`TraceError` if the walk leaves the admissible domain
-    or the gradient degenerates.
-    """
-    h = H_STEP if arc >= 0 else -H_STEP
-    n_full = int(abs(arc) / H_STEP + 1e-12)
-    rest = abs(arc) - n_full * H_STEP
-    steps = itertools.chain(
-        itertools.repeat(h, n_full), [math.copysign(rest, arc)] if rest > 1e-12 else []
-    )
-    pts, stop, at = domain.walker(fol)(p0[0], p0[1], jet[1], jet[2], steps, jet[0])
-    if stop == "domain_exit":
-        raise at
-    if stop is not None:
-        raise TraceError(_WALK_ERRORS[stop].format(*at))
-    return [p0] + pts
-
-
-def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float, float]:
-    """Point at signed arc distance ``arc`` from ``p0`` along the leaf
-    through ``p0``, following the (du/dy, -du/dx) orientation.
+    ``fol`` through ``p0``, following the (du/dy, -du/dx) orientation, in
+    steps of H_STEP and one final remainder: ``p0`` first, and last the
+    point at arc distance ``arc``.
 
     Raises :class:`TraceError` if the walk leaves the admissible domain
     or the gradient degenerates.
@@ -598,7 +579,18 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> tuple[float,
     x, y = float(p0[0]), float(p0[1])
     if not math.isfinite(arc):
         raise TraceError(f"arc must be finite, got {arc}")
-    c0 = jet_coeffs(fol.program, x, y, order=1)
-    if math.hypot(c0[1], c0[2]) < EPS_GRAD:
+    level, gx, gy = jet_coeffs(fol.program, x, y, order=1)
+    if math.hypot(gx, gy) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")
-    return _walk_arc(fol, c0, (x, y), arc, domain)[-1]
+    h = H_STEP if arc >= 0 else -H_STEP
+    n_full = int(abs(arc) / H_STEP + 1e-12)
+    rest = abs(arc) - n_full * H_STEP
+    steps = itertools.chain(
+        itertools.repeat(h, n_full), [math.copysign(rest, arc)] if rest > 1e-12 else []
+    )
+    pts, stop, at = domain.walker(fol)(x, y, gx, gy, steps, level)
+    if stop == "domain_exit":
+        raise at
+    if stop is not None:
+        raise TraceError(_WALK_ERRORS[stop].format(*at))
+    return [(x, y)] + pts

@@ -360,6 +360,13 @@ class TestHexagonCommand:
         _, rows = read_csv(tmp_path / "hexagon.csv")
         assert float(rows[0][1]) <= 1e-9
 
+    def test_radius_walk_from_a_critical_center(self, tmp_path, capsys):
+        # grad x^2 vanishes on x = 0: walk_on_leaf refuses the radius leg's start
+        argv = ["--web", "x^2", "y", "x+y", "--center", "0", "0.5", "--radii", "0.1"]
+        assert main(["hexagon", *argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: radius walk failed: gradient vanishes at (0.0, 0.5)\n"
+
 
 class TestTraceCommand:
     def test_single_seed(self, tmp_path):
@@ -910,7 +917,26 @@ class TestVerifyTheoremWeb:
         small = ["--builtin", "parallel", "--map", "identity", "--seeds", "2", "--max-arc", "0.5"]
         assert main(["verify-theorem", *small, "--out", str(tmp_path)]) == 0
 
-    def test_each_expression_is_compiled_once(self, tmp_path, monkeypatch):
+    def test_runs_verify_linearization(self, tmp_path, monkeypatch):
+        # the library call and the command are one run: the same report
+        runs = []
+        real = triweb.cli.verify_linearization
+
+        def spy(*args, **kwargs):
+            runs.append(real(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(triweb.cli, "verify_linearization", spy)
+        argv = ["--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
+        assert main(["verify-theorem", *argv]) == 0
+        want = triweb.verify_linearization(seeds_per_foliation=2, max_arc=0.5)
+        assert len(runs) == 1 and runs[0] == want
+        triweb.outputs.dump_json(want.to_dict(), tmp_path / "want.json")
+        assert (tmp_path / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @staticmethod
+    def compiled(tmp_path, monkeypatch, argv) -> list:
+        """The text of every expression compiled by one small run of ``argv``, sorted."""
         real = triweb.kernels.compile_expr
         compiled = []
 
@@ -921,9 +947,25 @@ class TestVerifyTheoremWeb:
         for mod in list(sys.modules.values()):
             if mod and mod.__name__.startswith("triweb") and getattr(mod, "compile_expr", None) is real:
                 monkeypatch.setattr(mod, "compile_expr", spy)
-        argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        assert sorted(compiled) == ["(x+y)*exp(-x)", "1-x-y", "x", "y"]
+        assert main([*argv, "--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]) == 0
+        return sorted(compiled)
+
+    def test_each_expression_is_compiled_once(self, tmp_path, monkeypatch):
+        compiled = self.compiled(tmp_path, monkeypatch, ["verify-theorem"])
+        assert compiled == ["(x+y)*exp(-x)", "1-x-y", "x", "y"]
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["family", "--a", "2+x^2", "--b", "1"], ["(2+x^2)*x+1*y", "x", "y"]),
+            # the map's components are compiled too, once each
+            (["verify-map", "--builtin", "parallel", "--map", "x+2*y", "x-y"],
+             ["x", "x+2*y", "x+y", "x-y", "y"]),
+        ],
+        ids=["family", "verify-map"],
+    )
+    def test_other_pipelines_compile_each_expression_once(self, tmp_path, monkeypatch, argv, want):
+        assert self.compiled(tmp_path, monkeypatch, argv) == want
 
 
 class TestJetOrders:

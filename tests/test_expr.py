@@ -7,17 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CORPUS
-from triweb.errors import EvalDomainError, ParseError
+from triweb.errors import ConfigError, EvalDomainError, ParseError
 from triweb.expr import (
     BinOp,
     Call,
     Const,
     Neg,
     Var,
+    depends_on_y,
     eval_value,
     parse,
     to_text,
 )
+from triweb.kernels import compile_expr
+from triweb.web import family_web
 
 
 class TestParseStructure:
@@ -243,3 +246,38 @@ class TestEvalValue:
         assert eval_value(parse("x^0.5"), (4.0, 0.0)) == pytest.approx(2.0)
         with pytest.raises(EvalDomainError):
             eval_value(parse("x^0.5"), (-4.0, 0.0))
+
+
+def neg_chain(axis: int, depth: int = 5000):
+    """-(-(...-v)) with ``depth`` negations of x (axis 0) or y: built by
+    hand, as no text this deep parses."""
+    e = Var(axis=axis)
+    for _ in range(depth):
+        e = Neg(child=e)
+    return e
+
+
+class TestDeepTrees:
+    """A tree deeper than Python's recursion limit is a ConfigError with
+    the CLI's text, never a bare RecursionError."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_depends_on_y_walks_any_depth(self, axis):
+        assert depends_on_y(neg_chain(axis)) == (axis == 1)
+
+    def test_to_text_prints_any_depth(self):
+        assert to_text(neg_chain(0)) == "-" * 5000 + "x"
+
+    def test_compile_expr(self):
+        with pytest.raises(ConfigError, match="^expression nests too deeply$"):
+            compile_expr(neg_chain(0))
+
+    def test_eval_value(self):
+        with pytest.raises(ConfigError, match="^expression nests too deeply$"):
+            eval_value(neg_chain(0), (0.5, 0.25))
+
+    def test_family_coefficient(self):
+        with pytest.raises(ConfigError, match="^expression nests too deeply$"):
+            family_web(neg_chain(0), "1")
+        with pytest.raises(ConfigError, match="mentions y"):
+            family_web(neg_chain(1), "1")

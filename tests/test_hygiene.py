@@ -1,6 +1,7 @@
 """No dead code in the package: every import in a module is used there,
-and every module-level private name is referenced somewhere in it.  Only
-the standard library's ``ast`` reads the source."""
+and every module-level private name is referenced somewhere in it; and no
+module imports another's private name.  Only the standard library's
+``ast`` reads the source."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,16 @@ def test_every_private_name_is_referenced():
         if private not in referenced
     ]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    # a module that needs another's private helper calls that module's public entry instead
+    imports = [
+        (name, node.module, alias.name)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("triweb"))
+        for alias in node.names
+    ]
+    private = [(name, module, n) for name, module, n in imports if n.startswith("_")]
+    assert imports and private == []

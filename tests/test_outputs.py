@@ -147,7 +147,9 @@ class TestWriterMemory:
 
 
 class TestCoordinateTables:
-    def test_grid_coordinates_are_formatted_once_per_file(self, tmp_path, monkeypatch):
+    @staticmethod
+    def kernel_calls(monkeypatch) -> list:
+        """The number of values of each later _g_text call."""
         sizes = []
         real = triweb.outputs._g_text
 
@@ -156,16 +158,45 @@ class TestCoordinateTables:
             return real(values, digits, out)
 
         monkeypatch.setattr(triweb.outputs, "_g_text", spy)
+        return sizes
+
+    def test_grid_coordinates_are_formatted_once_per_file(self, tmp_path, monkeypatch):
+        sizes = self.kernel_calls(monkeypatch)
         g = np.linspace(-2, 2, 500)
         xs, ys = np.tile(g, 500), np.repeat(g, 500)
         path = tmp_path / "k.csv"
         write_curvature_csv(path, xs, ys, xs - ys)
+        # the 500 x, the 500 y and the few distinct K = x - y once each, in one call
+        assert sizes == [1000 + np.unique((xs - ys).view(np.int64)).size]
+        lines = path.read_bytes().split(b"\n")[1:-1]
+        for i in (0, 1, 8191, 8192, 123_456, xs.size - 1):
+            assert lines[i].decode() == ",".join(fmt(v) for v in (xs[i], ys[i], xs[i] - ys[i]))
+
+    def test_scattered_column_is_formatted_chunk_by_chunk(self, tmp_path, monkeypatch):
+        sizes = self.kernel_calls(monkeypatch)
+        g = np.linspace(-2, 2, 500)
+        xs, ys = np.tile(g, 500), np.repeat(g, 500)
+        ks = np.random.default_rng(7).uniform(-1, 1, xs.size)
+        path = tmp_path / "k.csv"
+        write_curvature_csv(path, xs, ys, ks)
         # the 500 x and 500 y values once, in one call, then K chunk by chunk
         assert sizes[0] == 1000 and sum(sizes[1:]) == xs.size
         assert len(sizes) == 1 + -(-xs.size // triweb.outputs._CHUNK_ROWS)
         lines = path.read_bytes().split(b"\n")[1:-1]
-        for i in (0, 1, 8191, 8192, 123_456, xs.size - 1):
-            assert lines[i].decode() == ",".join(fmt(v) for v in (xs[i], ys[i], xs[i] - ys[i]))
+        for i in (0, 8191, 8192, xs.size - 1):
+            assert lines[i].decode() == ",".join(fmt(v) for v in (xs[i], ys[i], ks[i]))
+
+    def test_short_leaf_file_takes_one_kernel_call(self, tmp_path, monkeypatch):
+        t = np.linspace(0.0, 6.0, 600)
+        curves = [np.column_stack((t, np.sin(t + k))) for k in range(12)]
+        leaves = [(LeafPolyline.from_vertices(k % 3 + 1, 0.1 * k, v), k % 2)
+                  for k, v in enumerate(curves)]
+        sizes = self.kernel_calls(monkeypatch)
+        write_leaf_csv(tmp_path / "l.csv", leaves, with_image=True)
+        assert sum(map(len, (leaf for leaf, _ in leaves))) < triweb.outputs._CHUNK_ROWS
+        assert len(sizes) == 1
+        reference_leaf_csv(tmp_path / "l.ref", leaves, with_image=True)
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l.ref").read_bytes()
 
     def test_signed_zero_and_repeats_across_chunks(self, tmp_path):
         # -0.0 and 0.0 are distinct texts; a value first seen in a late chunk is in the table

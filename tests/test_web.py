@@ -406,14 +406,25 @@ class TestTraceLeaf:
 
 class TestWalkOnLeaf:
     def test_straight_walk_exact(self, paper_web):
-        p = walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), 0.5, paper_web.domain)
+        p = walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), 0.5, paper_web.domain)[-1]
         assert p[0] == 0.0
         assert p[1] == pytest.approx(-0.5, abs=1e-12)
 
+    def test_returns_every_walked_point(self, paper_web, free_box):
+        # the seed first, then steps of H_STEP and a shorter last one, all on the level
+        fol = paper_web.foliation(3)
+        pts = walk_on_leaf(fol, (1.0, 1.0), 0.255, free_box)
+        assert pts[0] == (1.0, 1.0) and len(pts) == 27
+        seg = np.hypot(*np.diff(np.array(pts), axis=0).T)
+        assert seg[:-1] == pytest.approx(H_STEP, rel=1e-3)
+        assert seg[-1] == pytest.approx(0.005, rel=1e-3)
+        level = jet_coeffs(fol.program, 1.0, 1.0, order=1)[0]
+        assert all(abs(jet_coeffs(fol.program, *p, order=1)[0] - level) <= TOL_LEVEL for p in pts)
+
     def test_walk_roundtrip(self, paper_web, free_box):
         start = (1.0, 1.0)
-        out = walk_on_leaf(paper_web.foliation(3), start, 0.7, free_box)
-        back = walk_on_leaf(paper_web.foliation(3), out, -0.7, free_box)
+        out = walk_on_leaf(paper_web.foliation(3), start, 0.7, free_box)[-1]
+        back = walk_on_leaf(paper_web.foliation(3), out, -0.7, free_box)[-1]
         assert math.hypot(back[0] - start[0], back[1] - start[1]) <= 1e-9
 
     def test_walk_leaves_domain(self, paper_web):
