@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
-from .kernels import jet_coeffs, jet_coeffs_or_raise
+from .kernels import jet_coeffs
 from .web import H_STEP, Survey, ThreeWeb, walk_on_leaf
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
@@ -51,34 +51,10 @@ _REFINE_ERRORS = {
 }
 
 
-def _curvature(prog, xs, ys, c) -> np.ndarray:
-    """K at the points (xs, ys) from the rows ``c`` of the web function's
-    order-3 jets there; raises naming the first point where f_x or f_y is
-    below DEGENERATE_EPS, since the formula divides by both."""
-    fx, fy, fxx, fxy, fyy, fxxy, fxyy = (c[:, k] for k in (1, 2, 3, 4, 5, 7, 8))
-    degen = np.flatnonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))
-    if degen.size:
-        i = int(degen[0])
-        raise EvalDomainError(
-            "degenerate direction: web-function partial below 1e-12",
-            prog.source,
-            (float(xs[i]), float(ys[i])),
-        )
-    t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
-    t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
-    return (t1 - t2) / (fx * fy)
-
-
 def blaschke_curvature(web: ThreeWeb, p) -> float:
-    """Curvature of a normal-form web at one admissible point."""
-    if not web.is_normal_form:
-        raise NormalFormError(
-            "curvature is defined for normal-form webs only; "
-            "use hexagon_defect for general webs"
-        )
-    prog = web.web_function.program
-    xs, ys = [float(p[0])], [float(p[1])]
-    return float(_curvature(prog, xs, ys, jet_coeffs_or_raise(prog, xs, ys, order=3))[0])
+    """Curvature of a normal-form web at one point: :func:`curvature_grid` on a one-point survey."""
+    point = Survey(np.array([float(p[0])]), np.array([float(p[1])]), 1, 1, 1)
+    return float(curvature_grid(web, point)[2][0])
 
 
 @dataclass(frozen=True)
@@ -111,20 +87,29 @@ class ParallelizabilityReport:
 
 def curvature_grid(web: ThreeWeb, survey: Survey):
     """(xs, ys, K) at every point of ``survey``, K one array; raises on
-    evaluation failures or degenerate directions, naming the point, a jet
-    failure anywhere before a degenerate direction."""
+    evaluation failures or degenerate directions (|f_x| or |f_y| below
+    DEGENERATE_EPS), naming the point, a jet failure anywhere first."""
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
-    prog = web.web_function.program
+    prog = web.foliation(3).program
     kappa, degenerate = np.empty(survey.xs.size), None
     for part, (c,) in survey.jets([prog], order=3):
-        if degenerate is None:
-            try:
-                kappa[part] = _curvature(prog, survey.xs[part], survey.ys[part], c)
-            except EvalDomainError as exc:  # raised after the pass: a jet failure comes first
-                degenerate = exc
+        if degenerate is not None:
+            continue  # the pass goes on so that a later jet failure still raises first
+        fx, fy, fxx, fxy, fyy, fxxy, fxyy = (c[:, k] for k in (1, 2, 3, 4, 5, 7, 8))
+        degen = np.flatnonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))
+        if degen.size:
+            degenerate = part.start + int(degen[0])
+            continue
+        t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
+        t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
+        kappa[part] = (t1 - t2) / (fx * fy)
     if degenerate is not None:
-        raise degenerate
+        raise EvalDomainError(
+            "degenerate direction: web-function partial below 1e-12",
+            prog.source,
+            (float(survey.xs[degenerate]), float(survey.ys[degenerate])),
+        )
     return survey.xs, survey.ys, kappa
 
 

@@ -38,7 +38,6 @@ from .web import (
     DEFAULT_GRID,
     Domain,
     GeneralPositionReport,
-    LeafPolyline,
     ThreeWeb,
     builtin_web,
     family_web,
@@ -170,10 +169,11 @@ def diagonal_seeds(domain: Domain, n: int):
     """
     if n < 1:
         raise ConfigError("need at least one seed")
+    xmin, xmax, ymin, ymax = domain.box
     m = n
     while m <= min(100 * n, n + 1000):
-        fractions = [(i + 1) / (m + 1) for i in range(m)]
-        pts = domain.diagonal_points(fractions)
+        f = np.arange(1, m + 1) / (m + 1)
+        pts = np.column_stack((xmin + f * (xmax - xmin), ymin + f * (ymax - ymin)))
         adm = [
             (float(p[0]), float(p[1]))
             for p in pts
@@ -200,10 +200,9 @@ def _seed_component(domain: Domain, seed) -> int:
 
 @dataclass(frozen=True)
 class LinearityReport:
-    """Per-foliation straightness certificate over traced (and optionally
-    mapped) leaves.  ``leaves`` holds a (traced, image) pair per seed, the
-    image None without a map, for exports and plots; it is not part of the
-    report's dict or of its equality."""
+    """Per-foliation straightness certificate over the images of traced
+    leaves.  ``leaves`` holds a (traced, image) pair per seed, for exports
+    and plots; it is not part of the report's dict or of its equality."""
 
     foliation: int
     map_name: str
@@ -277,51 +276,40 @@ class LinearizationReport:
 # ---------------------------------------------------------------------------
 
 
-def _trace_one(web, fol_index, seed, max_arc) -> LeafPolyline:
-    try:
-        leaf = trace_leaf(
-            web.foliation(fol_index), seed, max_arc, web.domain, fol_index=fol_index
-        )
-    except TriwebError as exc:
-        raise TraceError(
-            f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {exc}"
-        ) from exc
-    if len(leaf) < 3:
-        raise TraceError(
-            f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): "
-            f"leaf has only {len(leaf)} vertices"
-        )
-    return leaf
-
-
 def foliation_linearity(
     web: ThreeWeb,
     fol_index: int,
-    m: PlaneMap | None = None,
-    seeds=None,
+    m: PlaneMap,
+    seeds,
     tol: float = DEFAULT_LINEARITY_TOL,
     max_arc: float = DEFAULT_MAX_ARC,
 ) -> LinearityReport:
-    """Trace the leaf through each seed, push it through ``m`` (identity
-    when None), and score collinearity per leaf."""
-    if seeds is None:
-        seeds = diagonal_seeds(web.domain, DEFAULT_SEEDS)
+    """Trace the leaf through each seed, push it through ``m`` (``identity_map()``
+    for the leaves themselves), then score the collinearity of each image."""
+    fol = web.foliation(fol_index)
+
+    def failed(seed, why) -> TraceError:
+        return TraceError(f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {why}")
+
     leaves = []
     for seed in seeds:
-        pre = _trace_one(web, fol_index, seed, max_arc)
-        leaves.append((pre, push_polyline(m, pre) if m is not None else None))
-    residuals = []
-    for seed, (pre, post) in zip(seeds, leaves):
         try:
-            residuals.append(collinearity_residual((pre if post is None else post).vertices))
+            pre = trace_leaf(fol, seed, max_arc, web.domain, fol_index=fol_index)
+        except TriwebError as exc:
+            raise failed(seed, exc) from exc
+        if len(pre) < 3:
+            raise failed(seed, f"leaf has only {len(pre)} vertices")
+        leaves.append((pre, push_polyline(m, pre)))
+    residuals = []
+    for seed, (_, post) in zip(seeds, leaves):
+        try:
+            residuals.append(collinearity_residual(post.vertices))
         except ValueError as exc:
-            raise TraceError(
-                f"foliation F{fol_index}, seed ({seed[0]:g}, {seed[1]:g}): {exc}"
-            ) from exc
+            raise failed(seed, exc) from exc
     max_res = max(residuals)
     return LinearityReport(
         foliation=fol_index,
-        map_name=m.name if m is not None else "identity",
+        map_name=m.name,
         seeds=tuple(seeds),
         levels=tuple(pre.level for pre, _ in leaves),
         components=tuple(_seed_component(web.domain, seed) for seed in seeds),

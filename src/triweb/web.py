@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,7 +52,6 @@ from .kernels import (
 
 # tracing and validation constants
 H_STEP = 1e-2  # nominal arc length per integrator step
-H_MAX = 2 * H_STEP  # bound on emitted vertex spacing
 PROJ_TOL = 1e-12  # Newton projection residual target
 PROJ_MAX_ITER = 5
 TOL_LEVEL = 1e-9  # level invariant every vertex must satisfy
@@ -290,11 +290,6 @@ class Domain:
             end += col.size
         return Survey(xs, ys, mask.size, nx, ny)
 
-    def diagonal_points(self, fractions) -> np.ndarray:
-        xmin, xmax, ymin, ymax = self.box
-        f = np.asarray(fractions, dtype=float)
-        return np.column_stack((xmin + f * (xmax - xmin), ymin + f * (ymax - ymin)))
-
 
 # ---------------------------------------------------------------------------
 # Foliations and webs
@@ -306,7 +301,6 @@ class Foliation:
     """One family of leaves, the level sets of a first integral."""
 
     integral: Expr
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "_program", compile_expr(self.integral))
@@ -332,11 +326,7 @@ class ThreeWeb:
     def from_integrals(cls, integrals, domain: Domain) -> "ThreeWeb":
         """The web of three integrals (expressions or their text), F1-F3."""
         return cls(
-            tuple(
-                Foliation(parse(u) if isinstance(u, str) else u, f"F{i}")
-                for i, u in enumerate(integrals, 1)
-            ),
-            domain,
+            tuple(Foliation(parse(u) if isinstance(u, str) else u) for u in integrals), domain
         )
 
     def foliation(self, index: int) -> Foliation:
@@ -351,10 +341,6 @@ class ThreeWeb:
         return is_var_x(self.foliations[0].integral) and is_var_y(
             self.foliations[1].integral
         )
-
-    @property
-    def web_function(self) -> Foliation:
-        return self.foliations[2]
 
 
 # name -> (integrals, box, exclusion, margin)
@@ -541,8 +527,8 @@ def trace_leaf(
     if math.hypot(c0[1], c0[2]) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at seed point ({x0}, {y0})")
     level = float(c0[0])
-    if max_arc <= 0:
-        raise TraceError("max_arc must be positive")
+    if not 0 < max_arc / H_STEP < sys.maxsize:  # nan too; itertools.repeat counts to sys.maxsize
+        raise TraceError(f"max_arc must be positive and under {sys.maxsize} steps, got {max_arc}")
     n_steps = int(max_arc / H_STEP + 1e-12)
 
     start = (x0, y0, c0[1], c0[2])
@@ -573,12 +559,12 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> list[tuple[f
     steps of H_STEP and one final remainder: ``p0`` first, and last the
     point at arc distance ``arc``.
 
-    Raises :class:`TraceError` if the walk leaves the admissible domain
-    or the gradient degenerates.
+    Raises :class:`TraceError` if ``arc`` is not a finite length, the
+    walk leaves the admissible domain or the gradient degenerates.
     """
     x, y = float(p0[0]), float(p0[1])
-    if not math.isfinite(arc):
-        raise TraceError(f"arc must be finite, got {arc}")
+    if not abs(arc) / H_STEP < sys.maxsize:  # nan too; itertools.repeat counts to sys.maxsize
+        raise TraceError(f"arc must be finite and under {sys.maxsize} steps, got {arc}")
     level, gx, gy = jet_coeffs(fol.program, x, y, order=1)
     if math.hypot(gx, gy) < EPS_GRAD:
         raise TraceError(f"gradient vanishes at ({x}, {y})")

@@ -119,14 +119,18 @@ class TestCurvatureValues:
     def test_normal_form_required(self):
         w = ThreeWeb(
             (
-                Foliation(parse("x+y"), "F1"),
-                Foliation(parse("y-x"), "F2"),
-                Foliation(parse("x"), "F3"),
+                Foliation(parse("x+y")),
+                Foliation(parse("y-x")),
+                Foliation(parse("x")),
             ),
             Domain(),
         )
-        with pytest.raises(NormalFormError):
+        # the point is the grid on a one-point survey, so the two say the same
+        with pytest.raises(NormalFormError) as point:
             blaschke_curvature(w, (0.0, 0.0))
+        with pytest.raises(NormalFormError) as grid:
+            curvature_grid(w, w.domain.survey(DEFAULT_GRID))
+        assert str(point.value) == str(grid.value) == "curvature grid requires a normal-form web"
 
 
 class TestParallelizabilityReport:
@@ -230,9 +234,9 @@ class TestHexagon:
     def test_normal_form_not_required(self):
         w = ThreeWeb(
             (
-                Foliation(parse("x+y"), "F1"),
-                Foliation(parse("y-x"), "F2"),
-                Foliation(parse("x"), "F3"),
+                Foliation(parse("x+y")),
+                Foliation(parse("y-x")),
+                Foliation(parse("x")),
             ),
             Domain(box=(-2, 2, -2, 2)),
         )
@@ -255,6 +259,11 @@ class TestHexagon:
     def test_non_finite_radius(self, paper_web, radius):
         with pytest.raises(HexagonError, match="positive and finite"):
             hexagon_defect(paper_web, (0.0, 0.0), radius)
+
+    def test_radius_beyond_a_walk_is_a_radius_walk_failure(self, paper_web):
+        # 1e302 steps of H_STEP are more than a walk can count
+        with pytest.raises(HexagonError, match="radius walk failed: arc must be finite"):
+            hexagon_defect(paper_web, (0.0, 0.0), 1e300)
 
     @pytest.mark.parametrize(
         "x0,side,steps",

@@ -1,6 +1,7 @@
 """No dead code in the package: every import in a module is used there,
-and every module-level private name is referenced somewhere in it; and no
-module imports another's private name.  Only the standard library's
+every module-level private name is referenced somewhere in it, and every
+public name and method is referenced in it or exported from ``__init__``;
+and no module imports another's private name.  Only the standard library's
 ``ast`` reads the source."""
 
 import ast
@@ -37,8 +38,8 @@ def _imported(tree) -> list[str]:
     return names
 
 
-def _private_definitions(tree) -> list[str]:
-    """The private names a module defines at its top level."""
+def _definitions(tree) -> list[str]:
+    """The names a module defines at its top level."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -46,7 +47,22 @@ def _private_definitions(tree) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+    return names
+
+
+def _methods(tree) -> list[str]:
+    """The methods of the classes a module defines at its top level."""
+    return [
+        node.name
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
 
 
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__.py"}))
@@ -60,8 +76,22 @@ def test_every_private_name_is_referenced():
     unused = [
         (name, private)
         for name, tree in MODULES.items()
-        for private in _private_definitions(tree)
+        for private in filter(_is_private, _definitions(tree))
         if private not in referenced
+    ]
+    assert unused == []
+
+
+def test_every_public_name_is_used_or_exported():
+    # a public name or method that only tests read belongs in the tests; one
+    # that ``__init__`` imports is exported, and the import references it
+    referenced = set().union(*map(_references, MODULES.values()))
+    unused = [
+        (name, public)
+        for name, tree in MODULES.items()
+        if name != "__init__.py"
+        for public in _definitions(tree) + _methods(tree)
+        if not public.startswith("_") and public not in referenced
     ]
     assert unused == []
 

@@ -60,9 +60,9 @@ class TestMapConstruction:
     def test_normal_form_required(self):
         w = ThreeWeb(
             (
-                Foliation(parse("y"), "F1"),
-                Foliation(parse("x"), "F2"),
-                Foliation(parse("x+y"), "F3"),
+                Foliation(parse("y")),
+                Foliation(parse("x")),
+                Foliation(parse("x+y")),
             ),
             Domain(),
         )

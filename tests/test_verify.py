@@ -220,7 +220,7 @@ class TestSeeds:
 class TestFoliationLinearity:
     def test_web_leaves_curved_under_identity(self, paper_web):
         rep = foliation_linearity(
-            paper_web, 3, None, seeds=[(1.0, 1.0), (0.5, 0.0), (-1.0, 0.5)]
+            paper_web, 3, identity_map(), seeds=[(1.0, 1.0), (0.5, 0.0), (-1.0, 0.5)]
         )
         assert not rep.verdict
         assert rep.max_residual > 1e-3
@@ -236,18 +236,30 @@ class TestFoliationLinearity:
         assert rep.max_residual <= 1e-9
 
     def test_vertical_foliation_already_straight(self, paper_web):
-        rep = foliation_linearity(paper_web, 1, None, seeds=[(0.3, -0.7), (1.2, 0.1)])
+        rep = foliation_linearity(paper_web, 1, identity_map(), seeds=[(0.3, -0.7), (1.2, 0.1)])
         assert rep.verdict
 
     def test_bad_seed_attributed(self, paper_web):
         with pytest.raises(TraceError, match=r"F3, seed \(0\.5, 0\.5\)"):
-            foliation_linearity(paper_web, 3, None, seeds=[(0.5, 0.5)])
+            foliation_linearity(paper_web, 3, identity_map(), seeds=[(0.5, 0.5)])
 
     def test_components_recorded(self, paper_web):
         rep = foliation_linearity(
-            paper_web, 1, None, seeds=[(0.0, 0.0), (1.5, 1.5)]
+            paper_web, 1, identity_map(), seeds=[(0.0, 0.0), (1.5, 1.5)]
         )
         assert rep.components == (1, -1)  # opposite sides of x+y = 1
+
+    @pytest.mark.parametrize("fol", [1, 2, 3])
+    def test_identity_images_are_the_traced_leaves(self, paper_web, fol):
+        # the identity push gives back each traced vertex bit for bit, so the
+        # residuals are those of the raw leaves
+        seeds = diagonal_seeds(paper_web.domain, 7)
+        rep = foliation_linearity(paper_web, fol, identity_map(), seeds)
+        assert rep.map_name == "identity"
+        for (pre, post), residual in zip(rep.leaves, rep.residuals):
+            assert np.array_equal(post.vertices, pre.vertices)
+            assert np.array_equal(post.arcs, pre.arcs)
+            assert residual == collinearity_residual(pre.vertices)
 
 
 class TestVerifyLinearization:

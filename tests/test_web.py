@@ -33,7 +33,6 @@ from triweb.transform import PlaneMap, diffeo_report, identity_map, linearizing_
 from triweb.web import (
     DEFAULT_GRID,
     EPS_GRAD,
-    H_MAX,
     H_STEP,
     PROJ_MAX_ITER,
     PROJ_TOL,
@@ -51,6 +50,7 @@ from triweb.web import (
 )
 
 TWO_OVER_E = 2.0 * math.exp(-1.0)  # 0.7357588823428847
+H_MAX = 2 * H_STEP  # bound on the spacing of traced vertices
 
 
 class TestDomain:
@@ -202,9 +202,9 @@ class TestGeneralPosition:
     def test_eval_errors_carry_point(self):
         w = ThreeWeb(
             (
-                Foliation(parse("x"), "F1"),
-                Foliation(parse("y"), "F2"),
-                Foliation(parse("y+ln(x)"), "F3"),
+                Foliation(parse("x")),
+                Foliation(parse("y")),
+                Foliation(parse("y+ln(x)")),
             ),
             Domain(box=(-1, 1, -1, 1)),
         )
@@ -388,8 +388,13 @@ class TestTraceLeaf:
         with pytest.raises(TraceError, match="not admissible"):
             trace_leaf(paper_web.foliation(3), (0.5, 0.5), 1.0, paper_web.domain)
 
+    @pytest.mark.parametrize("max_arc", [math.nan, math.inf, 1e300])
+    def test_non_finite_or_uncountable_max_arc(self, paper_web, max_arc):
+        with pytest.raises(TraceError, match="max_arc must be positive and under"):
+            trace_leaf(paper_web.foliation(3), (0.0, 0.0), max_arc, paper_web.domain)
+
     def test_vanishing_gradient_seed(self):
-        fol = Foliation(parse("x*y"), "hyperbola")
+        fol = Foliation(parse("x*y"))
         with pytest.raises(TraceError, match="gradient vanishes"):
             trace_leaf(fol, (0.0, 0.0), 1.0, Domain(box=(-1, 1, -1, 1)))
 
@@ -397,7 +402,7 @@ class TestTraceLeaf:
         # the level-0 leaf of x*y through (0.5, 0) is the x-axis, where
         # grad = (0, x) collapses at the origin; the backward direction
         # must truncate there and say so
-        fol = Foliation(parse("x*y"), "hyperbola")
+        fol = Foliation(parse("x*y"))
         d = Domain(box=(-1, 1, -1, 1))
         leaf = trace_leaf(fol, (0.5, 0.0), 1.0, d)
         assert any("gradient_collapse" in f for f in leaf.flags)
@@ -441,13 +446,19 @@ class TestWalkOnLeaf:
         with pytest.raises(TraceError, match="finite"):
             walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), arc, paper_web.domain)
 
+    @pytest.mark.parametrize("arc", [1e300, -1e300])
+    def test_arc_of_too_many_steps(self, paper_web, arc):
+        # 1e302 steps: more than itertools.repeat can count
+        with pytest.raises(TraceError, match="under 9223372036854775807 steps"):
+            walk_on_leaf(paper_web.foliation(1), (0.0, 0.0), arc, paper_web.domain)
+
 
 class TestClosedLeaves:
     def test_circle_stops_after_one_turn(self):
         # the leaf of x^2 + y^2 through (0.5, 0) is the circle of radius 0.5,
         # pi = 314.16 steps of 0.01 round: without the closing rule the walk
         # wraps it again and again up to max-arc in both directions
-        fol = Foliation(parse("x^2+y^2"), "circle")
+        fol = Foliation(parse("x^2+y^2"))
         leaf = trace_leaf(fol, (0.5, 0.0), 10.0, Domain(box=(-2, 2, -2, 2)))
         assert len(leaf) == 315
         assert leaf.flags == ("closed",)
@@ -457,7 +468,7 @@ class TestClosedLeaves:
         assert leaf.arcs[-1] == pytest.approx(math.pi - 0.0016, abs=1e-3)
 
     def test_short_budget_is_not_closed(self):
-        fol = Foliation(parse("x^2+y^2"), "circle")
+        fol = Foliation(parse("x^2+y^2"))
         leaf = trace_leaf(fol, (0.5, 0.0), 1.0, Domain(box=(-2, 2, -2, 2)))
         assert len(leaf) == 201 and leaf.flags == ()
 
