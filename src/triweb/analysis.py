@@ -38,6 +38,7 @@ from .kernels import jet_coeffs
 from .web import H_STEP, Survey, ThreeWeb, walk_on_leaf
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
+DEFAULT_CURVATURE_TOL = 1e-8  # max |K| of a parallelizable verdict
 HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
 
 # leg pattern: (foliation to follow, foliation whose center leaf to hit)
@@ -67,9 +68,7 @@ class ParallelizabilityReport:
     tol: float
     nx: int
     ny: int
-    xs: np.ndarray
-    ys: np.ndarray
-    kappa: np.ndarray
+    kappa: np.ndarray  # K at each survey point, in the survey's order
 
     def __post_init__(self):
         self.kappa.setflags(write=False)
@@ -81,7 +80,7 @@ class ParallelizabilityReport:
             "min_abs_curvature": self.min_abs_curvature,
             "tol": self.tol,
             "grid": [self.nx, self.ny],
-            "n_points": int(self.xs.size),
+            "n_points": int(self.kappa.size),
         }
 
 
@@ -114,11 +113,11 @@ def curvature_grid(web: ThreeWeb, survey: Survey):
 
 
 def parallelizability_report(
-    web: ThreeWeb, survey: Survey, tol: float = 1e-8
+    web: ThreeWeb, survey: Survey, tol: float = DEFAULT_CURVATURE_TOL
 ) -> ParallelizabilityReport:
     """Verdict "parallelizable" iff max |K| over ``survey`` is within tol
     of zero."""
-    xs, ys, kappa = curvature_grid(web, survey)
+    kappa = curvature_grid(web, survey)[2]
     absk = np.abs(kappa)
     return ParallelizabilityReport(
         parallelizable=bool(absk.max() <= tol),
@@ -127,9 +126,7 @@ def parallelizability_report(
         tol=tol,
         nx=survey.nx,
         ny=survey.ny,
-        xs=xs,
-        ys=ys,
-        kappa=np.asarray(kappa),
+        kappa=kappa,
     )
 
 
@@ -142,9 +139,10 @@ def parallelizability_report(
 class HexagonFigure:
     """One hexagon traversal: six alternating legs around a center.
 
-    ``points`` holds P0..P6; ``legs`` holds the walked paths (leg 0 is
-    the initial radius walk from the center to P0).  The defect is the
-    distance |P6 - P0|, zero exactly when the figure closes.
+    ``legs`` holds the walked paths (leg 0 is the initial radius walk
+    from the center to P0), each starting at the previous leg's last
+    vertex; ``points`` holds P0..P6, the legs' last vertices.  The defect
+    is the distance |P6 - P0|, zero exactly when the figure closes.
     """
 
     center: tuple[float, float]
@@ -166,7 +164,8 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     Walks both orientations for the nearest sign change, the forward one
     winning a tie, then refines the crossing with safeguarded Newton on
     the arc parameter, each Newton step a walk of one step that returns
-    the gradient at its end.  Returns the endpoint and the walked path.
+    the gradient at its end.  Returns the walked path, ``start`` first
+    and the refined crossing last.
     """
     domain = web.domain
     leg, target = web.foliation(leg_index), web.foliation(target_index)
@@ -229,7 +228,7 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
         raise HexagonError("leg crossing refinement did not converge")
 
     path[-1] = q
-    return q, path
+    return path
 
 
 def hexagon_defect(
@@ -256,21 +255,18 @@ def hexagon_defect(
     levels = [jet_coeffs(fol.program, O[0], O[1], order=1)[0] for fol in web.foliations]
 
     try:
-        leg0 = walk_on_leaf(web.foliation(1), O, radius, web.domain)
+        path = walk_on_leaf(web.foliation(1), O, radius, web.domain)
     except TraceError as exc:
         raise HexagonError(f"radius walk failed: {exc}") from None
 
-    points = [leg0[-1]]
-    legs = [np.array(leg0, dtype=float)]
-    current = leg0[-1]
+    legs = [np.array(path, dtype=float)]
     for leg_index, target_index in _LEG_PATTERN:
-        current, path = _leg_to_level(
-            web, leg_index, target_index, current, levels[target_index - 1], max_leg_arc
+        path = _leg_to_level(
+            web, leg_index, target_index, path[-1], levels[target_index - 1], max_leg_arc
         )
-        points.append(current)
         legs.append(np.array(path, dtype=float))
 
-    pts = np.array(points, dtype=float)
+    pts = np.array([leg[-1] for leg in legs])
     defect = float(math.hypot(pts[6, 0] - pts[0, 0], pts[6, 1] - pts[0, 1]))
     return HexagonFigure(
         center=O,

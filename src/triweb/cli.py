@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import hexagon_defect, parallelizability_report
+from .analysis import DEFAULT_CURVATURE_TOL, hexagon_defect, parallelizability_report
 from .errors import ConfigError, EvalDomainError, TraceError, TriwebError
 from .expr import parse as parse_expr
 from .expr import to_text
@@ -94,7 +94,7 @@ class RunConfig:
     seeds: int = DEFAULT_SEEDS
     max_arc: float = DEFAULT_MAX_ARC
     tol_linearity: float = DEFAULT_LINEARITY_TOL
-    tol_curvature: float = 1e-8
+    tol_curvature: float = DEFAULT_CURVATURE_TOL
     tol_diffeo: float = DEFAULT_DIFFEO_TOL
     tol_line: float = DEFAULT_LINE_FORMULA_TOL
     out: Path = field(default_factory=lambda: Path("out"))
@@ -139,7 +139,8 @@ class RunConfig:
     def build_web(self) -> ThreeWeb:
         """The web the config names, on the domain of its builtin row (for
         ``--web`` and ``--a/--b``: the default box, no exclusion) with the
-        config's box, exclusion and margin in place of that row's."""
+        config's box, exclusion and margin in place of that row's.  A margin
+        without an exclusion would widen nothing, so it is refused."""
         chosen = [
             k
             for k, v in (
@@ -165,6 +166,8 @@ class RunConfig:
             parse_expr(exclude) if exclude is not None else None,
             self.margin if self.margin is not None else margin,
         )
+        if self.margin is not None and exclude is None:
+            raise ConfigError("margin has no effect without an exclusion (--exclude G)")
         if family:
             return family_web(self.family_a, self.family_b, domain)
         return ThreeWeb.from_integrals(integrals, domain)
@@ -328,6 +331,15 @@ def _config_from_sources(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _mark(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _print_general_position(gp) -> None:
+    """The summary line of a general-position report, as every command prints it."""
+    print(f"general position: {_mark(gp.verdict)} (min pairwise det {gp.min_pairwise_det:.6g})")
+
+
 def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
     """Run ``pipeline`` (:func:`verify_map` with its map bound, or
     :func:`verify_linearization`) on ``web`` with the config's pipeline
@@ -352,14 +364,10 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
         svg_items += rows
     write_svg(out / "web.svg", web.domain, svg_items)
 
-    def mark(ok: bool) -> str:
-        return "PASS" if ok else "FAIL"
-
-    gp = report.general_position
     dif = report.diffeo
-    print(f"general position: {mark(gp.verdict)} (min pairwise det {gp.min_pairwise_det:.6g})")
+    _print_general_position(report.general_position)
     print(
-        f"diffeomorphism ({report.map_name}): {mark(dif.verdict)} "
+        f"diffeomorphism ({report.map_name}): {_mark(dif.verdict)} "
         f"(min |det J| {dif.min_abs_det:.6g}, threshold {dif.threshold:.6g})"
     )
     for r in report.foliations:
@@ -372,10 +380,10 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
     if report.line_check is not None:
         lc = report.line_check
         print(
-            f"line formula: {mark(lc.verdict)} "
+            f"line formula: {_mark(lc.verdict)} "
             f"(max deviation {lc.max_deviation:.6g} over {lc.n_leaves} leaves)"
         )
-    print(f"overall: {mark(report.overall_pass)}")
+    print(f"overall: {_mark(report.overall_pass)}")
     return EXIT_PASS if report.overall_pass else EXIT_VERDICT_FAIL
 
 
@@ -403,15 +411,12 @@ def _cmd_analyze(args) -> int:
     gp = general_position_report(web, survey)
     rep = parallelizability_report(web, survey, tol=cfg.tol_curvature)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    write_curvature_csv(cfg.out / "curvature.csv", rep.xs, rep.ys, rep.kappa)
+    write_curvature_csv(cfg.out / "curvature.csv", survey.xs, survey.ys, rep.kappa)
     dump_json(
         {"general_position": gp.to_dict(), "parallelizability": rep.to_dict()},
         cfg.out / "report.json",
     )
-    print(
-        f"general position: {'PASS' if gp.verdict else 'FAIL'} "
-        f"(min pairwise det {gp.min_pairwise_det:.6g})"
-    )
+    _print_general_position(gp)
     verdict = "parallelizable" if rep.parallelizable else "not parallelizable"
     print(
         f"curvature: {verdict} "
@@ -423,6 +428,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = _config_from_sources(args)
+    if cfg.seed_point is not None and args.seeds is not None:
+        raise ConfigError("--seeds has no effect with --seed, which traces the one leaf through it")
     web = cfg.build_web()
     fol = web.foliation(cfg.foliation)
     if cfg.seed_point is not None:
@@ -477,6 +484,8 @@ def _cmd_verify_theorem(args) -> int:
     web = replace(cfg, builtin=cfg.builtin or "paper").build_web()
     m = cfg.build_map()
     if m is not None:  # the closed-form line check predicts the paper's map only
+        if args.tol_line is not None:
+            raise ConfigError("--tol-line has no effect with --map, which runs no line check")
         return _run_pipeline(cfg, web, functools.partial(verify_map, m=m))
     return _run_pipeline(cfg, web, verify_linearization)
 

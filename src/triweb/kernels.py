@@ -406,16 +406,12 @@ def jet_coeffs_many(program: Program, xs, ys, order: int = 3):
 def jet_coeffs_or_raise(program: Program, xs, ys, order: int = 3) -> np.ndarray:
     """Batch jets that must all succeed: the coefficients of
     :func:`jet_coeffs_many`, or :class:`EvalDomainError` naming the first
-    failing point."""
+    failing point, raised by the program's ``fail`` as at a single point."""
     out, codes, opidx = jet_coeffs_many(program, xs, ys, order)
     bad = np.flatnonzero(codes)
     if bad.size:
         i = int(bad[0])
-        raise EvalDomainError(
-            _ERR_TEXT[int(codes[i])],
-            program.frags[int(opidx[i])],
-            (float(np.ravel(xs)[i]), float(np.ravel(ys)[i])),
-        )
+        program.fail(int(codes[i]), int(opidx[i]), float(np.ravel(xs)[i]), float(np.ravel(ys)[i]))
     return out
 
 

@@ -273,10 +273,6 @@ def write_defect_table_csv(path: Path | str, radii, defects) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _svg_fmt(v: float) -> str:
-    return format(v, ".6g")
-
-
 def write_svg(path: Path | str, domain: Domain, leaves) -> None:
     """Static plot, SVG_WIDTH pixels wide, with one polyline element per
     exported leaf.
@@ -304,15 +300,15 @@ def write_svg(path: Path | str, domain: Domain, leaves) -> None:
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_svg_fmt(width)}" '
-        f'height="{_svg_fmt(height)}" viewBox="0 0 {_svg_fmt(width)} {_svg_fmt(height)}">',
-        f'<rect width="{_svg_fmt(width)}" height="{_svg_fmt(height)}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.6g}" '
+        f'height="{height:.6g}" viewBox="0 0 {width:.6g} {height:.6g}">',
+        f'<rect width="{width:.6g}" height="{height:.6g}" fill="white"/>',
     ]
     bx0, by0 = (domain.box[0] - xmin) * scale, (ymax - domain.box[3]) * scale
     bx1, by1 = (domain.box[1] - xmin) * scale, (ymax - domain.box[2]) * scale
     parts.append(
-        f'<rect x="{_svg_fmt(bx0)}" y="{_svg_fmt(by0)}" '
-        f'width="{_svg_fmt(bx1 - bx0)}" height="{_svg_fmt(by1 - by0)}" '
+        f'<rect x="{bx0:.6g}" y="{by0:.6g}" '
+        f'width="{bx1 - bx0:.6g}" height="{by1 - by0:.6g}" '
         'fill="none" stroke="#bbbbbb" stroke-width="1"/>'
     )
     for leaf, image in leaves:

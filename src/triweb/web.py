@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, EvalDomainError, TraceError
-from .expr import Expr, depends_on_y, is_var_x, is_var_y, parse, to_text
+from .expr import BinOp, Expr, Var, depends_on_y, is_var_x, is_var_y, parse, to_text
 from .kernels import (
     ERR_OK,
     Program,
@@ -381,23 +381,14 @@ def family_web(a: Expr | str, b: Expr | str, domain: Domain | None = None) -> Th
     ``a`` and ``b`` must depend on x only; the third integral is linear
     in y with x-dependent coefficients.
     """
-    from .expr import BinOp, Var
-
-    if isinstance(a, str):
-        a = parse(a)
-    if isinstance(b, str):
-        b = parse(b)
+    a, b = (parse(e) if isinstance(e, str) else e for e in (a, b))
     for label, e in (("a", a), ("b", b)):
         if depends_on_y(e):
             raise ConfigError(
                 f"family coefficient {label}(x) = {to_text(e)!r} mentions y"
             )
-    u3 = BinOp(
-        (-1, -1),
-        "+",
-        BinOp((-1, -1), "*", a, Var((-1, -1), 0)),
-        BinOp((-1, -1), "*", b, Var((-1, -1), 1)),
-    )
+    ax, by = (BinOp(op="*", left=e, right=Var(axis=i)) for i, e in enumerate((a, b)))
+    u3 = BinOp(op="+", left=ax, right=by)
     return ThreeWeb.from_integrals(("x", "y", u3), domain or Domain())
 
 

@@ -585,6 +585,68 @@ class TestUnreadFlags:
         assert main(["hexagon", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestIneffectiveSettings:
+    """A flag its command reads, but that could change nothing in this run,
+    is refused before any output is written; each has a control run where it
+    does take effect."""
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["trace", "--builtin", "paper", "--seed", "0", "0", "--seeds", "3"], "--seeds"),
+            (["verify-theorem", "--map", "identity", "--tol-line", "1"], "--tol-line"),
+            (["analyze", "--web", "x", "y", "x+y", "--margin", "0.5"], "margin"),
+        ],
+    )
+    def test_refused_before_any_output(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "no effect" in err
+        assert not out.exists()
+
+    def test_seeds_takes_effect_without_seed(self, tmp_path, capsys):
+        for n in (2, 3):
+            argv = ["trace", "--builtin", "paper", "--seeds", str(n), "--max-arc", "0.5"]
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().out.startswith(f"traced {n} leaves of F3")
+
+    def test_tol_line_takes_effect_without_map(self, tmp_path):
+        argv = ["verify-theorem", "--seeds", "2", "--max-arc", "0.5", "--tol-line", "0.25"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["line_formula"]["tol"] == 0.25
+
+    def test_margin_takes_effect_with_exclude(self, tmp_path):
+        # on the 5 x 5 grid of the default box, |x| >= 0.5 drops the column x = 0
+        counts = []
+        for margin in ("0", "0.5"):
+            argv = ["analyze", "--web", "x", "y", "x+y", "--exclude", "x", "--margin", margin,
+                    "--grid", "5", "5", "--out", str(tmp_path)]
+            assert main(argv) == 0
+            rep = json.loads((tmp_path / "report.json").read_text())
+            counts.append(rep["parallelizability"]["n_points"])
+        assert counts == [25, 20]
+
+    def test_config_keys_are_refused_only_for_margin(self, tmp_path, capsys):
+        # seeds and tolerances.line_formula may sit in a config for other
+        # commands, as in the theorem scenario; a margin from a config is
+        # refused as the flag is
+        seeds = tmp_path / "seeds.json"
+        seeds.write_text(json.dumps({"seeds": 3}))
+        argv = ["trace", "--builtin", "paper", "--seed", "0", "0", "--max-arc", "0.5"]
+        assert main([*argv, "--config", str(seeds), "--out", str(tmp_path / "t")]) == 0
+        argv = ["verify-theorem", "--config", str(ROOT / "scenarios" / "theorem.json"),
+                "--map", "identity", "--seeds", "2", "--max-arc", "0.5"]
+        assert main([*argv, "--out", str(tmp_path / "v")]) == 1
+        margin = tmp_path / "margin.json"
+        margin.write_text(json.dumps({"domain": {"margin": 0.5}}))
+        argv = ["analyze", "--web", "x", "y", "x+y", "--config", str(margin)]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 2
+        assert "error: margin has no effect" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+
 class TestWorkCaps:
     def test_validate_rejects_work_above_the_caps(self):
         for cfg in (

@@ -1,8 +1,8 @@
 """No dead code in the package: every import in a module is used there,
 every module-level private name is referenced somewhere in it, and every
 public name and method is referenced in it or exported from ``__init__``;
-and no module imports another's private name.  Only the standard library's
-``ast`` reads the source."""
+no module imports another's private name; and only three places build an
+``EvalDomainError``.  Only the standard library's ``ast`` reads the source."""
 
 import ast
 from pathlib import Path
@@ -107,3 +107,35 @@ def test_no_module_imports_a_private_name():
     ]
     private = [(name, module, n) for name, module, n in imports if n.startswith("_")]
     assert imports and private == []
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module, dotted path of the enclosing definitions) of every call of ``name``."""
+    found = set()
+
+    def visit(node, module, path):
+        for child in ast.iter_child_nodes(node):
+            inner = path
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = path + (child.name,)
+            elif isinstance(child, ast.Call):
+                callee = child.func
+                if getattr(callee, "id", None) == name or getattr(callee, "attr", None) == name:
+                    found.add((module, ".".join(path)))
+            visit(child, module, inner)
+
+    for module, tree in MODULES.items():
+        visit(tree, module, ())
+    return found
+
+
+def test_eval_domain_errors_are_built_in_three_places():
+    # every jet error comes from a program's fail, so a point and a batch
+    # name a failure alike; the curvature grid's degenerate direction and
+    # the independent tree-walking oracle build their own
+    assert _callers("EvalDomainError") == {
+        ("kernels.py", "compile_expr.fail"),
+        ("analysis.py", "curvature_grid"),
+        ("expr.py", "eval_value.rec"),
+        ("expr.py", "eval_value"),
+    }

@@ -344,6 +344,20 @@ class TestBatch:
                     else:
                         assert codes[i] == 0 and np.array_equal(out[i], single), case
 
+    def test_batch_raise_names_its_first_failing_point_as_the_point_jet(self):
+        # points 2 and 3 fail, in different ops: the batch raises at point 2,
+        # with the text and fragment of the order-1 point jet's error there
+        prog = compile_expr("ln(y)+1/(x-3)")
+        xs, ys = [1.0, 2.0, 3.0], [1.0, -0.5, 2.0]
+        with pytest.raises(EvalDomainError) as point:
+            jet_coeffs(prog, xs[1], ys[1], order=1)
+        for order in (1, 3):
+            with pytest.raises(EvalDomainError) as batch:
+                jet_coeffs_or_raise(prog, xs, ys, order)
+            assert str(batch.value) == str(point.value)
+            assert batch.value.fragment == point.value.fragment == "ln(y)"
+            assert batch.value.point == point.value.point == (2.0, -0.5)
+
 
 class TestCodeCache:
     """Generated source is compiled once per text, and what differs

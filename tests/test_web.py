@@ -97,9 +97,11 @@ class TestDomain:
         xs, ys = np.array([-1.0, -0.5, 0.0]), np.zeros(3)
         s = Survey(xs, ys, 3, 3, 1)
         assert not (s.xs.flags.writeable or s.ys.flags.writeable)
-        # neither the survey nor a report on it freezes the caller's arrays
+        # neither the survey nor a report on it freezes the caller's arrays,
+        # and the curvature grid hands back the survey's own coordinates
         rep = parallelizability_report(paper_web, s)
-        assert rep.xs is s.xs and not rep.kappa.flags.writeable
+        xs_k, ys_k, _ = curvature_grid(paper_web, s)
+        assert xs_k is s.xs and ys_k is s.ys and not rep.kappa.flags.writeable
         assert xs.flags.writeable and ys.flags.writeable
 
     def test_unevaluable_exclusion_means_inadmissible(self):
