@@ -38,10 +38,7 @@ from .verify import (
     LineFormulaCheck,
     collinearity_residual,
     diagonal_seeds,
-    family_line,
     foliation_linearity,
-    paper_line,
-    verify_family,
     verify_linearization,
     verify_map,
 )

@@ -41,15 +41,13 @@ from .outputs import (
     write_leaf_csv,
     write_svg,
 )
-from .transform import DEFAULT_DIFFEO_TOL, PlaneMap, identity_map, linearizing_map
+from .transform import DEFAULT_DIFFEO_TOL, PlaneMap, identity_map
 from .verify import (
     DEFAULT_LINE_FORMULA_TOL,
     DEFAULT_LINEARITY_TOL,
     DEFAULT_MAX_ARC,
     DEFAULT_SEEDS,
     diagonal_seeds,
-    family_line,
-    verify_linearization,
     verify_map,
 )
 from .web import (
@@ -125,6 +123,9 @@ class RunConfig:
                 f"max-arc {self.max_arc:g} exceeds the cap of {MAX_TRACE_STEPS} steps of "
                 f"{H_STEP:g} per direction (max-arc {MAX_TRACE_STEPS * H_STEP:g})"
             )
+        for name, p in (("center", self.center), ("seed", self.seed_point)):
+            if p is not None and not all(map(math.isfinite, p)):
+                raise ConfigError(f"{name} must be finite, got ({p[0]:g}, {p[1]:g})")
         for r in self.radii:
             if not 0 < r < math.inf:
                 raise ConfigError(f"radii must be positive and finite, got {r:g}")
@@ -241,7 +242,8 @@ SETTINGS = (
             commands=("analyze",)),
     Setting("--tol-diffeo", "tolerances.diffeo", float, name="tol_diffeo", commands=_PIPELINE),
     Setting("--tol-line", "tolerances.line_formula", float, name="tol_line",
-            commands=("verify-theorem", "family")),
+            commands=("verify-theorem", "family"), help="line check of the map (f(x,y), y): "
+            "how far the image of a leaf x = c may lie from the line through f(c, y) at its ends"),
     Setting("--foliation", "foliation", int, commands=("trace",), choices=(1, 2, 3),
             help="which foliation"),
     Setting("--seed", None, float, 2, name="seed_point", dest="seed_point", commands=("trace",),
@@ -340,13 +342,14 @@ def _print_general_position(gp) -> None:
     print(f"general position: {_mark(gp.verdict)} (min pairwise det {gp.min_pairwise_det:.6g})")
 
 
-def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
-    """Run ``pipeline`` (:func:`verify_map` with its map bound, or
-    :func:`verify_linearization`) on ``web`` with the config's pipeline
-    settings, write the outputs, print the summary, and map the verdict to
-    the exit code."""
-    report = pipeline(
+def _run_pipeline(cfg: RunConfig, web: ThreeWeb, m: PlaneMap | None = None) -> int:
+    """Run :func:`verify_map` of ``m`` (None: the web's own linearizing map,
+    with the line check) on ``web`` with the config's pipeline settings,
+    write the outputs, print the summary, and map the verdict to the exit
+    code."""
+    report = verify_map(
         web,
+        m,
         seeds_per_foliation=cfg.seeds,
         tol=cfg.tol_linearity,
         grid=cfg.grid,
@@ -393,6 +396,8 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, pipeline) -> int:
 
 
 def _cmd_parse(args) -> int:
+    if args.at is not None and not all(map(math.isfinite, args.at)):
+        raise ConfigError(f"--at must be finite, got ({args.at[0]:g}, {args.at[1]:g})")
     for text in args.expr:
         e = parse_expr(text)
         print(to_text(e))
@@ -473,21 +478,14 @@ def _cmd_verify_theorem(args) -> int:
     cfg = _config_from_sources(args)
     if cfg.integrals or cfg.family_a or cfg.family_b:
         raise ConfigError(
-            "verify-theorem runs the bundled web; use verify-map or family "
+            "verify-theorem runs a bundled web; use verify-map or family "
             "for other webs"
-        )
-    if cfg.map_spec is None and cfg.builtin not in (None, "paper"):
-        raise ConfigError(
-            f"verify-theorem checks the paper's closed-form lines, which do not describe "
-            f"builtin web {cfg.builtin!r}; use verify-map --builtin {cfg.builtin} --map M"
         )
     web = replace(cfg, builtin=cfg.builtin or "paper").build_web()
     m = cfg.build_map()
-    if m is not None:  # the closed-form line check predicts the paper's map only
-        if args.tol_line is not None:
-            raise ConfigError("--tol-line has no effect with --map, which runs no line check")
-        return _run_pipeline(cfg, web, functools.partial(verify_map, m=m))
-    return _run_pipeline(cfg, web, verify_linearization)
+    if m is not None and args.tol_line is not None:  # the line check needs the web's own map
+        raise ConfigError("--tol-line has no effect with --map, which runs no line check")
+    return _run_pipeline(cfg, web, m)
 
 
 def _cmd_verify_map(args) -> int:
@@ -496,16 +494,14 @@ def _cmd_verify_map(args) -> int:
     m = cfg.build_map()
     if m is None:
         raise ConfigError("verify-map needs --map (identity or two expressions)")
-    return _run_pipeline(cfg, web, functools.partial(verify_map, m=m))
+    return _run_pipeline(cfg, web, m)
 
 
 def _cmd_family(args) -> int:
     cfg = _config_from_sources(args)
     if not (cfg.family_a and cfg.family_b):
         raise ConfigError("family needs --a and --b coefficient expressions")
-    web = cfg.build_web()
-    m, line = linearizing_map(web), family_line(cfg.family_a, cfg.family_b)
-    return _run_pipeline(cfg, web, functools.partial(verify_map, m=m, line_formula=line))
+    return _run_pipeline(cfg, cfg.build_web())
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", _cmd_analyze, "general position and curvature survey"),
         ("trace", _cmd_trace, "trace leaves and export CSV"),
         ("hexagon", _cmd_hexagon, "closure hexagons around a center"),
-        ("verify-theorem", _cmd_verify_theorem, "full linearization pipeline for the bundled web"),
+        ("verify-theorem", _cmd_verify_theorem, "full linearization pipeline for a bundled web"),
         ("verify-map", _cmd_verify_map, "does a given map linearize a given web?"),
         ("family", _cmd_family, "pipeline for webs x, y, a(x)x+b(x)y"),
     ):
         # no abbreviations: verify-map would read --tol-line as --tol-linearity
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for s in SETTINGS:
             if s.commands is None or name in s.commands:

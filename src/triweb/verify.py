@@ -4,10 +4,11 @@ A foliation is certified linear by tracing finitely many leaves, mapping
 them forward, and scoring each image against its total-least-squares
 line; the normalized residual (max orthogonal distance over diameter) is
 dimensionless, so one tolerance covers leaves of any size.  This is a
-falsifiable numerical certificate, not a proof; for the bundled web the
-first foliation's images are additionally checked against their exact
-closed-form lines, which upgrades the key claim to closed-form
-agreement.
+falsifiable numerical certificate, not a proof.  When a web is run
+under its own linearizing map (f(x, y), y), as a bundled web is, the
+first foliation's images are also checked against the lines the web
+function predicts: the leaf x = c maps into xbar = f(c, ybar), the line
+through f(c, y) at the image's two ends when f is affine in y.
 
 Seeds are placed equally spaced along the domain-box diagonal, skipping
 inadmissible points, so reports are deterministic.  Each seed also
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, TraceError, TriwebError
-from .expr import Expr, eval_value, parse
+from .expr import eval_value
 from .kernels import jet_coeffs
 from .transform import (
     DEFAULT_DIFFEO_TOL,
@@ -40,7 +40,6 @@ from .web import (
     GeneralPositionReport,
     ThreeWeb,
     builtin_web,
-    family_web,
     general_position_report,
     trace_leaf,
 )
@@ -233,7 +232,7 @@ class LinearityReport:
 
 @dataclass(frozen=True)
 class LineFormulaCheck:
-    """Closed-form check of first-foliation image lines."""
+    """Distance of the first-foliation images from the lines the web predicts."""
 
     max_deviation: float
     tol: float
@@ -322,58 +321,44 @@ def foliation_linearity(
     )
 
 
-def paper_line(c: float, ybar: np.ndarray) -> np.ndarray:
-    """The paper's image line of the leaf x = c: xbar = (c + ybar) exp(-c)."""
-    return (c + ybar) * math.exp(-c)
-
-
-def family_line(a: Expr | str, b: Expr | str) -> Callable[[float, np.ndarray], np.ndarray]:
-    """The family's image line of the leaf x = c: xbar = a(c) c + b(c) ybar,
-    with a and b evaluated independently of the web function's own
-    expression tree."""
-    a = parse(a) if isinstance(a, str) else a
-    b = parse(b) if isinstance(b, str) else b
-
-    def line(c: float, ybar: np.ndarray) -> np.ndarray:
-        return eval_value(a, (c, 0.0)) * c + eval_value(b, (c, 0.0)) * ybar
-
-    return line
+def _line_check(web: ThreeWeb, report: LinearityReport, tol: float) -> LineFormulaCheck:
+    """How far each first-foliation image lies from its line.  The map
+    (f(x, y), y) sends the leaf x = c into xbar = f(c, ybar), a line when f
+    is affine in y: the line through f(c, y) at the image's first and last
+    ybar, with f evaluated by tree walking, independently of the jet code."""
+    f = web.foliation(3).integral
+    devs = []
+    for pre, post in report.leaves:
+        xbar, ybar = post.vertices[:, 0], post.vertices[:, 1]
+        y0, y1 = ybar[0], ybar[-1]
+        f0, f1 = (eval_value(f, (pre.level, y)) for y in (y0, y1))
+        devs.append(np.abs(xbar - f0 - (f1 - f0) * (ybar - y0) / (y1 - y0)).max())
+    max_dev = float(np.max(devs))  # nan, as from y0 == y1, fails
+    return LineFormulaCheck(max_dev, tol, len(devs), bool(max_dev <= tol))
 
 
 def verify_map(
     web: ThreeWeb,
-    m: PlaneMap,
+    m: PlaneMap | None = None,
     seeds_per_foliation: int = DEFAULT_SEEDS,
     tol: float = DEFAULT_LINEARITY_TOL,
     grid=DEFAULT_GRID,
     max_arc: float = DEFAULT_MAX_ARC,
     diffeo_tol: float = DEFAULT_DIFFEO_TOL,
-    line_formula: Callable[[float, np.ndarray], np.ndarray] | None = None,
     line_tol: float = DEFAULT_LINE_FORMULA_TOL,
 ) -> LinearizationReport:
     """Does ``m`` linearize ``web``?  General position, diffeomorphism and
-    per-foliation straightness; with ``line_formula(c, ybar)``, also that
-    the image of each first-foliation leaf of level c lies within
-    ``line_tol`` of xbar = line_formula(c, ybar)."""
+    per-foliation straightness.  Without ``m`` the map is
+    :func:`linearizing_map`, and each first-foliation image must also lie
+    within ``line_tol`` of the line the web function predicts for it."""
+    own_map = m is None
+    m = linearizing_map(web) if own_map else m
     survey = web.domain.survey(grid)
     gp = general_position_report(web, survey)
     dif = diffeo_report(m, survey, threshold=diffeo_tol)
     seeds = diagonal_seeds(web.domain, seeds_per_foliation)
     fol_reports = tuple(foliation_linearity(web, i, m, seeds, tol, max_arc) for i in (1, 2, 3))
-
-    line_check = None
-    if line_formula is not None:
-        max_dev = 0.0
-        for pre, post in fol_reports[0].leaves:
-            dev = np.abs(post.vertices[:, 0] - line_formula(pre.level, post.vertices[:, 1]))
-            max_dev = max(max_dev, float(dev.max()))
-        line_check = LineFormulaCheck(
-            max_deviation=max_dev,
-            tol=line_tol,
-            n_leaves=len(fol_reports[0].leaves),
-            verdict=bool(max_dev <= line_tol),
-        )
-
+    line_check = _line_check(web, fol_reports[0], line_tol) if own_map else None
     overall = (
         gp.verdict
         and dif.verdict
@@ -391,26 +376,5 @@ def verify_map(
 
 
 def verify_linearization(web: ThreeWeb | None = None, **kwargs) -> LinearizationReport:
-    """Full pipeline for the bundled exponential-shear web.
-
-    Checks that (f(x, y), y) is a diffeomorphism on the banded box, that
-    all three image foliations are straight, and that every image of a
-    leaf x = c lies on the exact line xbar = (c + ybar) * exp(-c)
-    (:func:`paper_line`).  The keywords are those of :func:`verify_map`,
-    which tests another map on the same web.
-    """
-    web = web or builtin_web("paper")
-    return verify_map(web, linearizing_map(web), line_formula=paper_line, **kwargs)
-
-
-def verify_family(
-    a: Expr | str, b: Expr | str, domain: Domain | None = None, **kwargs
-) -> LinearizationReport:
-    """Same pipeline for the family f(x, y) = a(x) x + b(x) y.
-
-    The first-foliation image lines are checked against
-    xbar = a(c) c + b(c) ybar (:func:`family_line`).  The keywords are
-    those of :func:`verify_map`.
-    """
-    web = family_web(a, b, domain)
-    return verify_map(web, linearizing_map(web), line_formula=family_line(a, b), **kwargs)
+    """:func:`verify_map` without a map, on the paper web by default."""
+    return verify_map(web or builtin_web("paper"), **kwargs)

@@ -23,7 +23,6 @@ from triweb.cli import (
     MAX_SEEDS,
     SETTINGS,
     RunConfig,
-    _config_from_sources,
     _json_fields,
     build_parser,
     main,
@@ -454,12 +453,20 @@ class TestConfigFile:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
-    def test_scenario_files_load(self):
+    def test_scenario_files_load(self, tmp_path, capsys):
+        # each scenario file runs end to end through the command it was written for
+        commands = {
+            "theorem.json": ["verify-theorem", "--seeds", "2", "--max-arc", "0.5"],
+            "family_quadratic.json": ["family", "--seeds", "2", "--max-arc", "0.5"],
+            "hexagon_scaling.json": ["hexagon"],
+        }
         paths = sorted((ROOT / "scenarios").glob("*.json"))
-        assert paths
+        assert sorted(p.name for p in paths) == sorted(commands)
         for path in paths:
-            cfg = _config_from_sources(build_parser().parse_args(["analyze", "--config", str(path)]))
-            cfg.build_web()
+            out = tmp_path / path.stem
+            assert main([*commands[path.name], "--config", str(path), "--out", str(out)]) == 0
+            assert any(out.iterdir()), path.name
+        assert "FAIL" not in capsys.readouterr().out
 
 
 # Each subcommand's arguments as (option strings, dest, nargs, type, choices),
@@ -707,6 +714,48 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert name in err and "finite" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["hexagon", "--builtin", "paper", "--center", "nan", "0", "--radii", "0.1"], "center"),
+            (["hexagon", "--builtin", "paper", "--center", "0", "inf", "--radii", "0.1"], "center"),
+            (["trace", "--builtin", "paper", "--seed", "nan", "0"], "seed"),
+            (["trace", "--builtin", "paper", "--seed", "0", "inf", "--max-arc", "0.5"], "seed"),
+        ],
+    )
+    def test_point_exits_2_before_any_output(self, tmp_path, capsys, argv, name):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err
+        assert not out.exists()
+
+    def test_config_center_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"  # Python's json reads NaN
+        cfg.write_text('{"web": {"builtin": "paper"}, "center": [NaN, 0], "radii": [0.1]}')
+        out = tmp_path / "out"
+        assert main(["hexagon", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "center must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("at", [["nan", "0"], ["0", "inf"]])
+    def test_parse_at_exits_2_before_any_output(self, capsys, at):
+        assert main(["parse", "x*y", "--at", *at]) == 2
+        captured = capsys.readouterr()
+        assert "--at must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hexagon", "--builtin", "paper", "--center", "9", "9", "--radii", "0.1"],
+            ["trace", "--builtin", "paper", "--seed", "9", "9"],
+        ],
+    )
+    def test_finite_point_outside_the_domain_stays_numeric(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert "is not admissible" in capsys.readouterr().err
 
     def test_non_finite_config_box_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"  # Python's json reads Infinity
@@ -962,37 +1011,30 @@ class TestMoreCommandPaths:
 class TestVerifyTheoremWeb:
     @pytest.mark.parametrize("name", ["parallel", "product"])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_other_builtin_is_refused(self, tmp_path, capsys, name, source):
-        # the closed-form lines (c + ybar) exp(-c) describe the paper web only
+    def test_other_builtin_runs_the_line_check(self, tmp_path, name, source):
+        # the line check is derived from each web, not from the paper's closed form
         argv = ["--builtin", name]
         if source == "config":
             p = tmp_path / "run.json"
             p.write_text(json.dumps({"web": {"builtin": name}}))
             argv = ["--config", str(p)]
-        assert main(["verify-theorem", *argv, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"builtin web '{name}'" in err and "verify-map" in err
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        small = ["--seeds", "2", "--max-arc", "0.5"]
+        assert main(["verify-theorem", *argv, *small, "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["map"] == "linearizing"
+        assert rep["line_formula"]["verdict"] is True and rep["line_formula"]["n_leaves"] == 2
 
     def test_other_builtin_with_a_map_runs(self, tmp_path):
         # with --map no closed form is scored: the run is verify-map's
         small = ["--builtin", "parallel", "--map", "identity", "--seeds", "2", "--max-arc", "0.5"]
         assert main(["verify-theorem", *small, "--out", str(tmp_path)]) == 0
 
-    def test_runs_verify_linearization(self, tmp_path, monkeypatch):
+    def test_runs_verify_linearization(self, tmp_path):
         # the library call and the command are one run: the same report
-        runs = []
-        real = triweb.cli.verify_linearization
-
-        def spy(*args, **kwargs):
-            runs.append(real(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(triweb.cli, "verify_linearization", spy)
         argv = ["--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
         assert main(["verify-theorem", *argv]) == 0
         want = triweb.verify_linearization(seeds_per_foliation=2, max_arc=0.5)
-        assert len(runs) == 1 and runs[0] == want
         triweb.outputs.dump_json(want.to_dict(), tmp_path / "want.json")
         assert (tmp_path / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 

@@ -18,11 +18,10 @@ from triweb.verify import (
     collinearity_residual,
     diagonal_seeds,
     foliation_linearity,
-    verify_family,
     verify_linearization,
     verify_map,
 )
-from triweb.web import DEFAULT_BOX, Domain, ThreeWeb
+from triweb.web import DEFAULT_BOX, Domain, LeafPolyline, ThreeWeb, family_web
 
 E_INV = math.exp(-1.0)
 
@@ -304,8 +303,10 @@ class TestVerifyLinearization:
 
 
 class TestVerifyFamily:
+    # the pipeline derives each line from the web; the closed form
+    # xbar = a(c) c + b(c) ybar checked here is the independent oracle
     def test_unit_shear(self):
-        rep = verify_family("1", "1")
+        rep = verify_map(family_web("1", "1"))
         assert rep.overall_pass
         pre, post = rep.foliations[0].leaves[0]
         c = pre.level
@@ -313,7 +314,7 @@ class TestVerifyFamily:
 
     def test_exponential_member_matches_theorem_run(self, theorem_report):
         dom = Domain(box=(-2, 2, -2, 2), exclude=parse("1-x-y"), margin=0.05)
-        rep = verify_family("exp(-x)", "exp(-x)", dom)
+        rep = verify_map(family_web("exp(-x)", "exp(-x)", dom))
         assert rep.overall_pass
         assert rep.to_dict().keys() == theorem_report.to_dict().keys()
         assert [r.verdict for r in rep.foliations] == [
@@ -321,7 +322,7 @@ class TestVerifyFamily:
         ]
 
     def test_quadratic_member(self):
-        rep = verify_family("1+x", "2", Domain(box=(0, 2, -2, 2)))
+        rep = verify_map(family_web("1+x", "2", Domain(box=(0, 2, -2, 2))))
         assert rep.overall_pass
         pre, post = rep.foliations[0].leaves[0]
         c = pre.level
@@ -330,9 +331,41 @@ class TestVerifyFamily:
 
     def test_general_position_precondition_visible(self):
         # box straddles f_x = 1 + 2x = 0, so the pipeline must not pass
-        rep = verify_family("1+x", "2", Domain(box=(-2, 2, -2, 2)))
+        rep = verify_map(family_web("1+x", "2", Domain(box=(-2, 2, -2, 2))))
         assert not rep.overall_pass
         assert not rep.general_position.verdict
+
+
+class TestLineCheck:
+    def test_catches_a_shift_the_residual_cannot_see(self, paper_web, monkeypatch):
+        # shifted by a constant, the F1 images are still lines, but no
+        # longer the lines xbar = f(c, ybar)
+        real = triweb.verify.push_polyline
+
+        def shifted(m, leaf):
+            image = real(m, leaf)
+            if leaf.foliation != 1:
+                return image
+            vertices = image.vertices + [1e-6, 0.0]
+            return LeafPolyline.from_vertices(1, image.level, vertices, image.flags)
+
+        monkeypatch.setattr(triweb.verify, "push_polyline", shifted)
+        rep = verify_map(paper_web, seeds_per_foliation=2, max_arc=0.5)
+        assert rep.foliations[0].verdict
+        assert not rep.line_check.verdict
+        assert rep.line_check.max_deviation == pytest.approx(1e-6, rel=1e-6)
+        assert not rep.overall_pass
+
+    def test_fails_where_the_web_function_is_not_affine_in_y(self):
+        # the leaf x = c maps onto the parabola xbar = c + ybar^2: its
+        # midpoint lies (ybar[-1] - ybar[0])^2 / 4 off the chord
+        web = ThreeWeb.from_integrals(("x", "y", "x+y^2"), Domain())
+        rep = verify_map(web, seeds_per_foliation=2, max_arc=0.5)
+        assert rep.map_name == "linearizing"
+        assert not rep.line_check.verdict
+        assert not rep.overall_pass
+        widths = [np.ptp(post.vertices[:, 1]) for _, post in rep.foliations[0].leaves]
+        assert rep.line_check.max_deviation == pytest.approx(max(widths) ** 2 / 4, rel=1e-3)
 
 
 class TestVerifyMap:
