@@ -169,7 +169,7 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
     """
     domain = web.domain
     leg, target = web.foliation(leg_index), web.foliation(target_index)
-    leg_jet, tgt_jet = leg.program.at_point, target.program.at_point
+    leg_jet, tgt_jet = leg.program.at_point[1], target.program.at_point[1]
     x0, y0 = start
     leg_level, gx0, gy0 = leg_jet(x0, y0)
     phi0 = tgt_jet(x0, y0)[0] - target_level

@@ -463,14 +463,14 @@ def _cmd_hexagon(args) -> int:
         raise ConfigError("hexagon needs --center x y")
     if not cfg.radii:
         raise ConfigError("hexagon needs --radii r1 [r2 ...]")
+    figures = []
+    for r in cfg.radii:  # every figure before any output, so a failure leaves none
+        figures.append(hexagon_defect(web, cfg.center, r))
+        print(f"r={r:g}: defect={figures[-1].defect:.6g}")
     cfg.out.mkdir(parents=True, exist_ok=True)
-    defects = []
-    for idx, r in enumerate(cfg.radii):
-        figure = hexagon_defect(web, cfg.center, r)
-        defects.append(figure.defect)
+    for idx, figure in enumerate(figures):
         write_hexagon_legs_csv(cfg.out / f"hexagon_legs_{idx}.csv", figure)
-        print(f"r={r:g}: defect={figure.defect:.6g}")
-    write_defect_table_csv(cfg.out / "hexagon.csv", cfg.radii, defects)
+    write_defect_table_csv(cfg.out / "hexagon.csv", cfg.radii, [f.defect for f in figures])
     return EXIT_PASS
 
 

@@ -6,17 +6,20 @@ slots of :mod:`triweb.jets` (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13), pruning coefficients known to
 be zero.  It emits two orders: order 3 (all ten slots) and order 1 (value
 and gradient, the first three slots, computed by the same expressions so
-they agree bit for bit).  Batches run on numpy arrays at either order
-(:func:`jet_coeffs_many`); single points run order 1 on Python floats,
-and order 3 as a one-row batch (:func:`jet_coeffs`), so each expression
-compiles three functions.  :func:`inline_source` pastes the order-1 body
-of one or more programs into caller code at its own points, and
+they agree bit for bit).  Each expression compiles three code objects:
+order-1 point code with inline checks, and array code at orders 1 and 3
+whose checks call a hook.  The order-3 array code is bound twice, to
+numpy arrays for batches (:func:`jet_coeffs_many`) and to Python floats
+for single points (:func:`jet_coeffs`), so four functions come of the
+three.  :func:`inline_source` pastes the order-1 point body of one or
+more programs into caller code at its own points, and
 :func:`bind_inline` binds the result.  All call numpy's elementary
 functions, so a batch row equals the single-point result bit for bit.
 Every op checks its domain and the finiteness of the slots it computes:
-a point raises :class:`EvalDomainError` naming the op's source fragment,
-a batch records the first failing op per point.  Programs are immutable
-and all functions pure, so concurrent use needs no coordination.
+a point raises :class:`EvalDomainError` naming the op's source fragment
+at its first failing op, a batch records the first failing op per point.
+Programs are immutable and all functions pure, so concurrent use needs
+no coordination.
 """
 
 from __future__ import annotations
@@ -280,9 +283,9 @@ class Program:
 
     frags: tuple  # per-op source fragment, for error attribution
     source: str  # printable form of the whole expression
-    at_point: Callable = field(repr=False, compare=False)  # order-1 jet(x, y)
+    at_point: dict = field(repr=False, compare=False)  # order -> jet(x, y) on floats
     on_arrays: dict = field(repr=False, compare=False)  # order -> jet(x, y, check)
-    point_code: str = field(repr=False, compare=False)  # source of at_point
+    point_code: str = field(repr=False, compare=False)  # source of at_point[1]
     fail: Callable = field(repr=False, compare=False)  # fail(code, k, x, y) raises
     constant_gradient: tuple | None = field(repr=False, compare=False)  # literal (u_x, u_y)
 
@@ -348,10 +351,12 @@ def compile_expr(e: Expr | str, source: str | None = None) -> Program:
         raise EvalDomainError(_ERR_TEXT[code], frags[k], (x, y))
 
     point_code = emitters[0].render(results[0], hook=False)
-    at_point = _bind(point_code, dict(_POINT_NAMES, fail=fail))
-    on_arrays = {
-        em.order: _bind(em.render(result, hook=True), _ARRAY_NAMES)
-        for em, result in zip(emitters, results)
+    hooked = {em.order: em.render(result, hook=True) for em, result in zip(emitters, results)}
+    on_arrays = {order: _bind(code, _ARRAY_NAMES) for order, code in hooked.items()}
+    floats = _bind(hooked[3], _POINT_NAMES)
+    at_point = {
+        1: _bind(point_code, dict(_POINT_NAMES, fail=fail)),
+        3: lambda x, y: floats(x, y, partial(_halt, fail, x, y)),
     }
     source = source if source is not None else frag(e)
     grad = results[0][1:]
@@ -371,17 +376,20 @@ def _record(codes: np.ndarray, opidx: np.ndarray, bad, code: int, k: int) -> Non
     opidx[new] = k
 
 
+def _halt(fail: Callable, x: float, y: float, bad: bool, code: int, k: int) -> None:
+    """Check hook of the float binding: raises at the first failing op."""
+    if bad:
+        fail(code, k, x, y)
+
+
 def jet_coeffs(program: Program, x: float, y: float, order: int = 3) -> tuple:
     """Jet coefficients at one point, as floats: the ten slots of
-    :mod:`triweb.jets` at order 3, (u, u_x, u_y) at order 1.  Order 3 is
-    a one-row batch, whose row and error are the point's.
+    :mod:`triweb.jets` at order 3, (u, u_x, u_y) at order 1.
 
     Raises :class:`EvalDomainError` naming the offending subexpression
     and point on any domain violation or overflow of a computed slot.
     """
-    if order == 1:
-        return program.at_point(float(x), float(y))
-    return tuple(jet_coeffs_or_raise(program, [float(x)], [float(y)], order)[0].tolist())
+    return program.at_point[order](float(x), float(y))
 
 
 def jet_coeffs_many(program: Program, xs, ys, order: int = 3):

@@ -240,7 +240,7 @@ class Domain:
         try:
             return xmin <= x <= xmax and ymin <= y <= ymax and (
                 self._exclude_program is None
-                or abs(self._exclude_program.at_point(x, y)[0]) >= self.margin)
+                or abs(self._exclude_program.at_point[1](x, y)[0]) >= self.margin)
         except EvalDomainError:
             return False
 

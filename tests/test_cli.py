@@ -366,6 +366,22 @@ class TestHexagonCommand:
         err = capsys.readouterr().err
         assert err == "numerical failure: radius walk failed: gradient vanishes at (0.0, 0.5)\n"
 
+    @pytest.mark.parametrize(
+        "center, radii, stdout",
+        [
+            (["9", "9"], ["0.1"], ""),
+            # the first figure is printed, then the second radius leaves the domain
+            (["0.3", "-0.4"], ["0.1", "5"], "r=0.1: defect=0.000730625\n"),
+        ],
+        ids=["bad-center", "later-radius-fails"],
+    )
+    def test_failure_leaves_no_output_directory(self, tmp_path, capsys, center, radii, stdout):
+        out = tmp_path / "D"
+        argv = ["--builtin", "paper", "--center", *center, "--radii", *radii]
+        assert main(["hexagon", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().out == stdout
+        assert not out.exists()
+
 
 class TestTraceCommand:
     def test_single_seed(self, tmp_path):

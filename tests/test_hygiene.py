@@ -1,8 +1,9 @@
 """No dead code in the package: every import in a module is used there,
 every module-level private name is referenced somewhere in it, and every
 public name and method is referenced in it or exported from ``__init__``;
-no module imports another's private name; and only three places build an
-``EvalDomainError``.  Only the standard library's ``ast`` reads the source."""
+no module imports another's private name; only three places build an
+``EvalDomainError``; and no batch jet runs a single point.  Only the
+standard library's ``ast`` reads the source."""
 
 import ast
 from pathlib import Path
@@ -139,3 +140,19 @@ def test_eval_domain_errors_are_built_in_three_places():
         ("expr.py", "eval_value.rec"),
         ("expr.py", "eval_value"),
     }
+
+
+def test_no_batch_of_one_point():
+    # a single point runs its program's point jet; a one-row batch pays the
+    # whole batch set-up for it
+    one_row = [
+        (module, node.lineno)
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in {"jet_coeffs_many", "jet_coeffs_or_raise"}
+        for arg in [*node.args, *(k.value for k in node.keywords)]
+        if isinstance(arg, (ast.List, ast.Tuple)) and len(arg.elts) == 1
+    ]
+    assert one_row == []

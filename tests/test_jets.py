@@ -6,11 +6,12 @@ cross-checked against the finite-difference chain, so the frozen numbers
 never depend on the code under test.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triweb.expr
@@ -18,6 +19,7 @@ import triweb.kernels
 from conftest import (
     CORPUS,
     Jet3,
+    _random_expr,
     assert_jet_matches_fd,
     fd_tolerance_ok,
     jet_vs_fd_report,
@@ -25,9 +27,10 @@ from conftest import (
     random_expression_pairs,
 )
 from triweb.errors import ConfigError, EvalDomainError
-from triweb.expr import parse
+from triweb.expr import fragments, parse
 from triweb.jets import JET_INDEX, JET_ORDERS, JET_SIZE, PRODUCT_ROWS
 from triweb.kernels import (
+    _Emitter,
     compile_expr,
     eval_jet3,
     jet_coeffs,
@@ -192,6 +195,37 @@ class TestFiniteDifferenceValidation:
         assert not failures, failures[:5]
 
 
+# the jet slot, as (i, j), that each label of jet_vs_fd_report reads
+_FD_SLOT = {"value": (0, 0), "dx(values)": (1, 0), "dy(values)": (0, 1)}
+_FD_SLOT.update({f"c{i}{j}": (i, j) for i, j in JET_ORDERS})
+
+
+class TestLiteralZeros:
+    """A slot the emitter writes as a literal holds at every point, with no
+    check behind it: the finite-difference chain must read the same there."""
+
+    def test_literal_zero_slots_read_zero(self):
+        checked = 0
+        for e, p in random_expression_pairs(100):
+            jet = dict(zip(JET_ORDERS, _Emitter(fragments(None), 3).jet(e)))
+            for label, _, independent in jet_vs_fd_report(e, p):
+                if jet[_FD_SLOT[label]] == 0.0:  # a literal: a slot's name is a str
+                    assert fd_tolerance_ok(0.0, independent), (str(e), p, label, independent)
+                    checked += 1
+        assert checked > 500
+
+    def test_constant_gradient_reads_its_literals(self):
+        checked = 0
+        for e, p in random_expression_pairs(100):
+            grad = compile_expr(e).constant_gradient
+            if grad is not None:
+                fd = {label: independent for label, _, independent in jet_vs_fd_report(e, p)}
+                for label, g in zip(("dx(values)", "dy(values)"), grad):
+                    assert fd_tolerance_ok(g, fd[label]), (str(e), p, label, g, fd[label])
+                checked += 1
+        assert checked >= 20
+
+
 class TestEvaluatorErrors:
     def test_ln_domain_names_fragment_and_point(self):
         with pytest.raises(EvalDomainError) as exc:
@@ -291,6 +325,12 @@ class TestOrderOne:
         assert jet_coeffs_many(prog, [1e-300], [2.0])[1][0] != 0
 
 
+# edges of the functions' domains, the bundled box, and points where exp overflows
+_point_coord = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300]), st.floats(-2, 2), st.floats(-1e3, 1e3)
+)
+
+
 class TestBatch:
     def test_batch_matches_single(self):
         prog = compile_expr(parse(WEB_FN))
@@ -329,6 +369,7 @@ class TestBatch:
             for order in (1, 3):
                 out, codes, opidx = jet_coeffs_many(prog, xs, ys, order)
                 for i, point in enumerate(zip(xs, ys)):
+                    # at order 3 the point runs the float binding of the array code
                     case = (text, order, point)
                     try:
                         single = jet_coeffs(prog, *point, order)
@@ -341,6 +382,7 @@ class TestBatch:
                             jet_coeffs_or_raise(prog, [point[0]], [point[1]], order)
                         assert str(batch.value) == str(exc), case
                         assert batch.value.fragment == exc.fragment, case
+                        assert batch.value.point == exc.point == point, case
                     else:
                         assert codes[i] == 0 and np.array_equal(out[i], single), case
 
@@ -357,6 +399,30 @@ class TestBatch:
             assert str(batch.value) == str(point.value)
             assert batch.value.fragment == point.value.fragment == "ln(y)"
             assert batch.value.point == point.value.point == (2.0, -0.5)
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 4),
+        x=_point_coord,
+        y=_point_coord,
+    )
+    def test_float_binding_is_a_one_row_batch(self, seed, depth, x, y):
+        # the order-3 point jet runs the array code on floats: the same bits,
+        # or the same first failing op, as a batch of the one point
+        prog = compile_expr(_random_expr(np.random.default_rng(seed), depth))
+        out, codes, opidx = jet_coeffs_many(prog, [x], [y])
+        try:
+            single = jet_coeffs(prog, x, y)
+        except EvalDomainError as exc:
+            assert codes[0] != 0 and prog.frags[opidx[0]] == exc.fragment
+            with pytest.raises(EvalDomainError) as batch:
+                jet_coeffs_or_raise(prog, [x], [y])
+            assert (str(batch.value), batch.value.fragment) == (str(exc), exc.fragment)
+            assert batch.value.point == exc.point == (x, y)
+        else:
+            assert codes[0] == 0 and all(type(v) is float for v in single)
+            assert np.array(single).tobytes() == out[0].tobytes()
 
 
 class TestCodeCache:
@@ -379,15 +445,21 @@ class TestCodeCache:
         first = cache.cache_info()
         compile_expr(text)
         after = cache.cache_info()
-        # point code at order 1 and array code at orders 1 and 3
+        # point code at order 1 and array code at orders 1 and 3, the last
+        # bound twice (to arrays and to floats), so a second compile hits four times
         assert len(compiled) == len(set(compiled)) == first.misses - before.misses == 3
-        assert (after.misses, after.hits - first.hits) == (first.misses, 3)
+        assert first.hits - before.hits == 1
+        assert (after.misses, after.hits - first.hits) == (first.misses, 4)
 
     def test_spellings_share_code_but_name_their_own_text(self):
         spaced, plain = compile_expr("ln( x )"), compile_expr(parse("ln(x)"))
-        assert spaced.at_point.__code__ is plain.at_point.__code__
+        assert spaced.at_point[1].__code__ is plain.at_point[1].__code__
         for order in (1, 3):
             assert spaced.on_arrays[order].__code__ is plain.on_arrays[order].__code__
+        # the order-3 point jet is the order-3 array code bound to floats
+        for prog in (spaced, plain):
+            floats = inspect.getclosurevars(prog.at_point[3]).nonlocals["floats"]
+            assert floats.__code__ is plain.on_arrays[3].__code__
         for prog, fragment in ((spaced, "ln( x )"), (plain, "ln(x)")):
             for order in (1, 3):
                 with pytest.raises(EvalDomainError) as exc:

@@ -368,6 +368,20 @@ class TestLineCheck:
         assert rep.line_check.max_deviation == pytest.approx(max(widths) ** 2 / 4, rel=1e-3)
 
 
+class TestSampledMiss:
+    """A false claim the sampled checks pass today."""
+
+    @pytest.mark.xfail(
+        strict=True, reason="sampled |det J|; needs interval certificates (ROADMAP item 5)"
+    )
+    def test_det_j_vanishing_on_a_line(self):
+        # det J = 2(x - 0.013) vanishes on x = 0.013, between the columns of
+        # the 41 x 41 grid, whose least |det J| reads 0.026
+        web = ThreeWeb.from_integrals(("x", "y", "y+(x-0.013)^2"), Domain())
+        rep = verify_map(web, linearizing_map(web), seeds_per_foliation=2, max_arc=0.5)
+        assert not rep.diffeo.verdict
+
+
 class TestVerifyMap:
     def test_identity_linearizes_an_already_linear_web(self, parallel_web):
         rep = verify_map(parallel_web, identity_map())
