@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import EvalDomainError, HexagonError, NormalFormError, TraceError
 from .kernels import jet_coeffs
-from .web import H_STEP, Survey, ThreeWeb, walk_on_leaf
+from .web import H_STEP, WALK_ERRORS, Survey, ThreeWeb, walk_on_leaf
 
 DEGENERATE_EPS = 1e-12  # floor on |f_x|, |f_y| for the curvature formula
 DEFAULT_CURVATURE_TOL = 1e-8  # max |K| of a parallelizable verdict
@@ -44,18 +44,10 @@ HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
 # leg pattern: (foliation to follow, foliation whose center leaf to hit)
 _LEG_PATTERN = ((3, 2), (1, 3), (2, 1), (3, 2), (1, 3), (2, 1))
 
-# how a one-step walk of the crossing refinement ended -> the error it raises
-_REFINE_ERRORS = {
-    "gradient_collapse": "gradient collapse while refining a leg crossing",
-    "projection_stall": "level projection stalled while refining a leg crossing",
-    "boundary": "leg crossing refinement left the admissible domain at ({:g}, {:g})",
-}
-
-
 def blaschke_curvature(web: ThreeWeb, p) -> float:
     """Curvature of a normal-form web at one point: :func:`curvature_grid` on a one-point survey."""
     point = Survey(np.array([float(p[0])]), np.array([float(p[1])]), 1, 1, 1)
-    return float(curvature_grid(web, point)[2][0])
+    return float(curvature_grid(web, point)[0])
 
 
 @dataclass(frozen=True)
@@ -84,32 +76,32 @@ class ParallelizabilityReport:
         }
 
 
-def curvature_grid(web: ThreeWeb, survey: Survey):
-    """(xs, ys, K) at every point of ``survey``, K one array; raises on
-    evaluation failures or degenerate directions (|f_x| or |f_y| below
-    DEGENERATE_EPS), naming the point, a jet failure anywhere first."""
+def curvature_grid(web: ThreeWeb, survey: Survey) -> np.ndarray:
+    """K at every point of ``survey``, in its order; raises on evaluation
+    failures, or at the first point of a degenerate direction (|f_x| or
+    |f_y| below DEGENERATE_EPS) or a non-finite K, a jet failure anywhere
+    first."""
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
     prog = web.foliation(3).program
-    kappa, degenerate = np.empty(survey.xs.size), None
+    kappa, bad = np.empty(survey.xs.size), None  # (survey index, why) of the first bad point
     for part, (c,) in survey.jets([prog], order=3):
-        if degenerate is not None:
+        if bad is not None:
             continue  # the pass goes on so that a later jet failure still raises first
         fx, fy, fxx, fxy, fyy, fxxy, fxyy = (c[:, k] for k in (1, 2, 3, 4, 5, 7, 8))
-        degen = np.flatnonzero((np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS))
-        if degen.size:
-            degenerate = part.start + int(degen[0])
-            continue
-        t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
-        t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
-        kappa[part] = (t1 - t2) / (fx * fy)
-    if degenerate is not None:
-        raise EvalDomainError(
-            "degenerate direction: web-function partial below 1e-12",
-            prog.source,
-            (float(survey.xs[degenerate]), float(survey.ys[degenerate])),
-        )
-    return survey.xs, survey.ys, kappa
+        degen = (np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS)
+        with np.errstate(all="ignore"):  # a bad point is raised below, not warned about
+            t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
+            t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
+            kappa[part] = (t1 - t2) / (fx * fy)
+        at = np.flatnonzero(degen | ~np.isfinite(kappa[part]))
+        if at.size:
+            why = "degenerate direction: web-function partial below 1e-12"
+            bad = part.start + int(at[0]), why if degen[at[0]] else "non-finite curvature"
+    if bad is not None:
+        i, why = bad
+        raise EvalDomainError(why, prog.source, (float(survey.xs[i]), float(survey.ys[i])))
+    return kappa
 
 
 def parallelizability_report(
@@ -117,7 +109,7 @@ def parallelizability_report(
 ) -> ParallelizabilityReport:
     """Verdict "parallelizable" iff max |K| over ``survey`` is within tol
     of zero."""
-    kappa = curvature_grid(web, survey)[2]
+    kappa = curvature_grid(web, survey)
     absk = np.abs(kappa)
     return ParallelizabilityReport(
         parallelizable=bool(absk.max() <= tol),
@@ -141,18 +133,16 @@ class HexagonFigure:
 
     ``legs`` holds the walked paths (leg 0 is the initial radius walk
     from the center to P0), each starting at the previous leg's last
-    vertex; ``points`` holds P0..P6, the legs' last vertices.  The defect
-    is the distance |P6 - P0|, zero exactly when the figure closes.
+    vertex; P_i is the last vertex of leg i.  The defect is the distance
+    |P6 - P0|, zero exactly when the figure closes.
     """
 
     center: tuple[float, float]
     radius: float
-    points: np.ndarray  # (7, 2)
     defect: float
     legs: tuple  # 7 arrays of shape (n_i, 2)
 
     def __post_init__(self):
-        self.points.setflags(write=False)
         for leg in self.legs:
             leg.setflags(write=False)
 
@@ -221,7 +211,7 @@ def _leg_to_level(web, leg_index, target_index, start, target_level, max_arc):
         if stop == "domain_exit":
             raise at
         if stop is not None:
-            raise HexagonError(_REFINE_ERRORS[stop].format(*at))
+            raise HexagonError("leg crossing refinement failed: " + WALK_ERRORS[stop].format(*at))
         xq, yq, gx, gy = at
         q, s_q = (xq, yq), s_new
     else:
@@ -266,12 +256,7 @@ def hexagon_defect(
         )
         legs.append(np.array(path, dtype=float))
 
-    pts = np.array([leg[-1] for leg in legs])
-    defect = float(math.hypot(pts[6, 0] - pts[0, 0], pts[6, 1] - pts[0, 1]))
+    (x0, y0), (x6, y6) = legs[0][-1], legs[6][-1]
     return HexagonFigure(
-        center=O,
-        radius=float(radius),
-        points=pts,
-        defect=defect,
-        legs=tuple(legs),
+        center=O, radius=float(radius), defect=math.hypot(x6 - x0, y6 - y0), legs=tuple(legs)
     )

@@ -7,7 +7,8 @@ win.  Exit codes form a strict contract:
     0  computation succeeded and any geometric verdict passed
     1  computation succeeded but a geometric verdict failed
     2  usage, config, or expression-parse error
-    3  numerical failure (tracing, hexagon legs, domain violations)
+    3  numerical failure (tracing, hexagon legs, domain violations, a
+       nan or infinite value in a report)
 
 Outputs are written into the --out directory: ``report.json``,
 ``curvature.csv``, ``leaves_*.csv``, ``hexagon.csv``, ``web.svg``,
@@ -27,14 +28,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .analysis import DEFAULT_CURVATURE_TOL, hexagon_defect, parallelizability_report
-from .errors import ConfigError, EvalDomainError, TraceError, TriwebError
+from .errors import ConfigError, EvalDomainError, NonFiniteError, TraceError, TriwebError
 from .expr import parse as parse_expr
 from .expr import to_text
 from .kernels import eval_jet3
 from .jets import JET_ORDERS
 from .outputs import (
-    dump_json,
     fmt,
+    report_json,
     write_curvature_csv,
     write_defect_table_csv,
     write_hexagon_legs_csv,
@@ -357,9 +358,10 @@ def _run_pipeline(cfg: RunConfig, web: ThreeWeb, m: PlaneMap | None = None) -> i
         diffeo_tol=cfg.tol_diffeo,
         line_tol=cfg.tol_line,
     )
+    text = report_json(report.to_dict())  # it may raise, so it comes before any output
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
-    dump_json(report.to_dict(), out / "report.json")
+    (out / "report.json").write_text(text)
     svg_items = []
     for r in report.foliations:
         rows = [(leaf, image) for pre, post in r.leaves for leaf, image in ((pre, 0), (post, 1))]
@@ -415,12 +417,10 @@ def _cmd_analyze(args) -> int:
     survey = web.domain.survey(cfg.grid)
     gp = general_position_report(web, survey)
     rep = parallelizability_report(web, survey, tol=cfg.tol_curvature)
+    text = report_json({"general_position": gp.to_dict(), "parallelizability": rep.to_dict()})
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_curvature_csv(cfg.out / "curvature.csv", survey.xs, survey.ys, rep.kappa)
-    dump_json(
-        {"general_position": gp.to_dict(), "parallelizability": rep.to_dict()},
-        cfg.out / "report.json",
-    )
+    (cfg.out / "report.json").write_text(text)
     _print_general_position(gp)
     verdict = "parallelizable" if rep.parallelizable else "not parallelizable"
     print(
@@ -558,7 +558,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (TraceError, EvalDomainError) as exc:  # HexagonError is a TraceError
+    except (TraceError, EvalDomainError, NonFiniteError) as exc:  # HexagonError is a TraceError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except TriwebError as exc:  # parse, config and normal-form errors

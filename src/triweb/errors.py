@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so new error types should
-subclass one of the three groups below rather than ``TriwebError`` directly.
+The CLI maps these onto process exit codes, 3 for ``EvalDomainError``,
+``TraceError`` and ``NonFiniteError`` and 2 for the others, so new error
+types should subclass one of the classes below rather than ``TriwebError``
+directly.
 """
 
 
@@ -41,6 +43,10 @@ class NormalFormError(TriwebError):
 
 class TraceError(TriwebError):
     """Leaf tracing or on-leaf root finding failed."""
+
+
+class NonFiniteError(TriwebError):
+    """A result to be reported is nan or infinite."""
 
 
 class HexagonError(TraceError):

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import HexagonFigure
+from .errors import NonFiniteError
 from .web import Domain
 
 CSV_FLOAT_DIGITS = 17
@@ -66,7 +67,7 @@ def _clean_json(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v!r} in report")
+            raise NonFiniteError(f"non-finite value {v!r} in report")
         if abs(v) < _JSON_FLOOR:
             return 0.0
         return float(f"{v:.{_JSON_DIGITS}g}")
@@ -75,10 +76,10 @@ def _clean_json(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def dump_json(obj: dict, path: Path | str) -> None:
-    """Write a report object as quantized, diff-stable JSON."""
-    text = json.dumps(_clean_json(obj), indent=2) + "\n"
-    Path(path).write_text(text)
+def report_json(obj: dict) -> str:
+    """A report object as quantized, diff-stable JSON text; raises
+    :class:`NonFiniteError` on a nan or infinite number."""
+    return json.dumps(_clean_json(obj), indent=2) + "\n"
 
 
 @functools.cache

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NormalFormError
 from .expr import parse
 from .kernels import jet_coeffs_or_raise
-from .web import Foliation, LeafPolyline, Survey, ThreeWeb
+from .web import Foliation, LeafPolyline, Survey, ThreeWeb, first_failures
 
 DEFAULT_DIFFEO_TOL = 1e-6  # floor on |det J| at every admissible grid point
 
@@ -63,7 +63,8 @@ def linearizing_map(web: ThreeWeb) -> PlaneMap:
 class DiffeoReport:
     verdict: bool
     min_abs_det: float
-    failures: tuple[tuple[float, float, float], ...]  # (x, y, det)
+    n_failures: int
+    failures: tuple[tuple[float, float, float], ...]  # (x, y, det), the first MAX_LISTED_FAILURES
     nx: int
     ny: int
     n_admissible: int
@@ -74,7 +75,7 @@ class DiffeoReport:
             "verdict": bool(self.verdict),
             "min_abs_det": self.min_abs_det,
             "threshold": self.threshold,
-            "n_failures": len(self.failures),
+            "n_failures": self.n_failures,
             "failing_points": [
                 {"x": x, "y": y, "det": d} for (x, y, d) in self.failures
             ],
@@ -87,20 +88,23 @@ def diffeo_report(
     m: PlaneMap, survey: Survey, threshold: float = DEFAULT_DIFFEO_TOL
 ) -> DiffeoReport:
     """Grid certificate of local invertibility: |det J| >= threshold at
-    every point of ``survey``."""
-    failures, min_abs = [], math.inf
+    every point of ``survey``, so a nan fails; lists the first failing
+    points by (x, y) and counts them all."""
+    kept, n_failures, min_abs = [], 0, math.inf
     for part, (c1, c2) in survey.jets(m.programs):
-        dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a nan that fails
+            dets = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
         absdet = np.abs(dets)
         min_abs = np.minimum(min_abs, absdet.min())  # nan if any is nan, as in one pass
-        xs, ys = survey.xs[part], survey.ys[part]
-        failures += [(float(xs[i]), float(ys[i]), float(dets[i]))
-                     for i in np.nonzero(absdet < threshold)[0]]
-    failures.sort(key=lambda f: f[:2])
+        at = np.flatnonzero(~(absdet >= threshold))
+        n_failures += at.size
+        xs, ys = survey.xs[part][at], survey.ys[part][at]
+        kept = first_failures(kept, xs, ys, np.zeros_like(at), dets[at])
     return DiffeoReport(
-        verdict=not failures,
+        verdict=n_failures == 0,
         min_abs_det=float(min_abs),
-        failures=tuple(failures),
+        n_failures=n_failures,
+        failures=tuple((x, y, d) for x, y, _, d in kept),
         nx=survey.nx,
         ny=survey.ny,
         n_admissible=int(survey.xs.size),

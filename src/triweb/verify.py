@@ -142,14 +142,16 @@ def collinearity_residual(points) -> float:
         raise ValueError("collinearity_residual needs at least 3 plane points")
     if not np.isfinite(P).all():
         raise ValueError("point set has non-finite coordinates")
-    diam = _diameter(P)
-    if diam <= 1e-9:
-        raise ValueError("point set has (near-)zero diameter")
-    Q = P - P.mean(axis=0)
-    moment = Q.T @ Q
-    _, vecs = np.linalg.eigh(moment)
-    normal = vecs[:, 0]  # eigenvector of the smaller eigenvalue
-    return float(np.abs(Q @ normal).max() / diam)
+    # huge coordinates overflow to a non-finite score, which the report refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        diam = _diameter(P)
+        if diam <= 1e-9:
+            raise ValueError("point set has (near-)zero diameter")
+        Q = P - P.mean(axis=0)
+        moment = Q.T @ Q
+        _, vecs = np.linalg.eigh(moment)
+        normal = vecs[:, 0]  # eigenvector of the smaller eigenvalue
+        return float(np.abs(Q @ normal).max() / diam)
 
 
 # ---------------------------------------------------------------------------

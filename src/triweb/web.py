@@ -397,6 +397,19 @@ def family_web(a: Expr | str, b: Expr | str, domain: Domain | None = None) -> Th
 # ---------------------------------------------------------------------------
 
 
+MAX_LISTED_FAILURES = 100  # failing points a grid report lists; it counts every one
+
+
+def first_failures(kept: list, xs, ys, ranks, values) -> list:
+    """The first MAX_LISTED_FAILURES of the failures ``kept`` and those at
+    the points (xs, ys), as (x, y, rank, value) tuples in (x, y, rank)
+    order, one point and rank failing once: the same for any split of a
+    survey into chunks."""
+    order = np.lexsort((ranks, ys, xs))[:MAX_LISTED_FAILURES]
+    new = zip(*(a[order].tolist() for a in (xs, ys, ranks, values)))
+    return sorted([*kept, *new])[:MAX_LISTED_FAILURES]
+
+
 @dataclass(frozen=True)
 class GridFailure:
     x: float
@@ -409,7 +422,8 @@ class GridFailure:
 class GeneralPositionReport:
     verdict: bool
     min_pairwise_det: float
-    failures: tuple[GridFailure, ...]
+    n_failures: int
+    failures: tuple[GridFailure, ...]  # the first MAX_LISTED_FAILURES, by (x, y, check)
     nx: int
     ny: int
     n_admissible: int
@@ -419,7 +433,7 @@ class GeneralPositionReport:
         return {
             "verdict": bool(self.verdict),
             "min_pairwise_det": self.min_pairwise_det,
-            "n_failures": len(self.failures),
+            "n_failures": self.n_failures,
             "failing_points": [
                 {"x": f.x, "y": f.y, "check": f.check, "value": f.value}
                 for f in self.failures
@@ -430,33 +444,32 @@ class GeneralPositionReport:
         }
 
 
+_CHECKS = ("grad1", "grad2", "grad3", "pair12", "pair13", "pair23")  # in their sort order
+_FLOORS = np.array([[EPS_GRAD]] * 3 + [[EPS_GP]] * 3)
+
+
 def general_position_report(web: ThreeWeb, survey: Survey) -> GeneralPositionReport:
     """Check pairwise transversality and gradient nondegeneracy of the
-    three foliations at every point of ``survey``."""
-    failures: list[GridFailure] = []
-    pairs = ((1, 2), (1, 3), (2, 3))
-    mins = [math.inf] * len(pairs)  # per pair, nan if any det is nan, as in one pass
+    three foliations at every point of ``survey``.  A point passes a check
+    only where its value reaches the floor, so a nan fails."""
+    kept, n_failures, min_det = [], 0, math.inf
     for part, jets in survey.jets([fol.program for fol in web.foliations]):
-        xs, ys = survey.xs[part], survey.ys[part]
         g = [jet[:, 1:] for jet in jets]
-        checks = [(f"grad{k}", np.hypot(gk[:, 0], gk[:, 1]), EPS_GRAD) for k, gk in enumerate(g, 1)]
-        for k, (a, b) in enumerate(pairs):
-            ga, gb = g[a - 1], g[b - 1]
-            det = np.abs(ga[:, 0] * gb[:, 1] - ga[:, 1] * gb[:, 0])
-            mins[k] = np.minimum(mins[k], det.min())
-            checks.append((f"pair{a}{b}", det, EPS_GP))
-        for check, values, floor in checks:
-            for i in np.nonzero(values < floor)[0]:
-                failures.append(GridFailure(float(xs[i]), float(ys[i]), check, float(values[i])))
-
-    min_det = math.inf
-    for m in mins:
-        min_det = min(min_det, float(m))
-    failures.sort(key=lambda f: (f.x, f.y, f.check))
+        values = np.empty((6, len(g[0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a nan that fails
+            for k, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+                np.hypot(g[k][:, 0], g[k][:, 1], out=values[k])
+                np.abs(g[a][:, 0] * g[b][:, 1] - g[a][:, 1] * g[b][:, 0], out=values[3 + k])
+        min_det = np.minimum(min_det, values[3:].min())  # nan if any det is nan
+        ranks, at = np.divmod(np.flatnonzero(~(values >= _FLOORS)), values.shape[1])
+        n_failures += ranks.size
+        xs, ys = survey.xs[part][at], survey.ys[part][at]
+        kept = first_failures(kept, xs, ys, ranks, values[ranks, at])
     return GeneralPositionReport(
-        verdict=not failures,
-        min_pairwise_det=min_det,
-        failures=tuple(failures),
+        verdict=n_failures == 0,
+        min_pairwise_det=float(min_det),
+        n_failures=n_failures,
+        failures=tuple(GridFailure(x, y, _CHECKS[k], v) for x, y, k, v in kept),
         nx=survey.nx,
         ny=survey.ny,
         n_admissible=int(survey.xs.size),
@@ -537,7 +550,8 @@ def trace_leaf(
     return LeafPolyline.from_vertices(fol_index, level, np.array(pts, dtype=float), tuple(flags))
 
 
-_WALK_ERRORS = {
+# how a walk ended -> the error text, formatted with the point it names
+WALK_ERRORS = {
     "gradient_collapse": "gradient collapse walking leaf near ({}, {})",
     "projection_stall": "level projection stalled near ({}, {})",
     "boundary": "walk left the admissible domain at ({}, {})",
@@ -569,5 +583,5 @@ def walk_on_leaf(fol: Foliation, p0, arc: float, domain: Domain) -> list[tuple[f
     if stop == "domain_exit":
         raise at
     if stop is not None:
-        raise TraceError(_WALK_ERRORS[stop].format(*at))
+        raise TraceError(WALK_ERRORS[stop].format(*at))
     return [(x, y)] + pts

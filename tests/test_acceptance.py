@@ -120,7 +120,8 @@ def test_criterion_4_family(tmp_path):
 
 
 def test_criterion_5a_curvature_closed_form(paper_web):
-    xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
+    survey = paper_web.domain.survey(DEFAULT_GRID)
+    xs, ys, kappa = survey.xs, survey.ys, curvature_grid(paper_web, survey)
     ref = -np.exp(2.0 * xs) / (1.0 - xs - ys) ** 3
     rel = float((np.abs(kappa - ref) / np.abs(ref)).max())
     ok = rel <= 1e-10

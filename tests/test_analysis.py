@@ -86,15 +86,17 @@ class TestCurvatureValues:
             assert blaschke_curvature(product_web, p) == 0.0
 
     def test_closed_form_on_grid(self, paper_web):
-        xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
-        ref = paper_curvature_closed_form(xs, ys)
+        survey = paper_web.domain.survey(DEFAULT_GRID)
+        kappa = curvature_grid(paper_web, survey)
+        ref = paper_curvature_closed_form(survey.xs, survey.ys)
         rel = np.abs(kappa - ref) / np.abs(ref)
         assert rel.max() <= 1e-10
 
     def test_point_equals_grid_bit_for_bit(self, paper_web):
-        xs, ys, kappa = curvature_grid(paper_web, paper_web.domain.survey(DEFAULT_GRID))
-        assert xs.size == 1650
-        point = [blaschke_curvature(paper_web, p) for p in zip(xs, ys)]
+        survey = paper_web.domain.survey(DEFAULT_GRID)
+        kappa = curvature_grid(paper_web, survey)
+        assert kappa.size == 1650
+        point = [blaschke_curvature(paper_web, p) for p in zip(survey.xs, survey.ys)]
         assert np.array_equal(point, kappa)
 
     def test_against_value_only_fd(self, paper_web):
@@ -111,6 +113,13 @@ class TestCurvatureValues:
 
     def test_fd_oracle_near_zero_for_parallel(self, parallel_web):
         assert abs(curvature_fd_oracle(parallel_web, (0.3, -0.4))) <= 1e-6
+
+    def test_non_finite_curvature_raises(self):
+        # K is inf - inf = nan at every point: the first one is named
+        w = ThreeWeb.from_integrals(("x", "y", "1e200*x^2*y"), Domain((0.5, 1, 0.5, 1)))
+        with pytest.raises(EvalDomainError, match="^non-finite curvature") as exc:
+            curvature_grid(w, w.domain.survey((3, 3)))
+        assert exc.value.point == (0.5, 0.5)
 
     def test_degenerate_direction_raises(self, paper_web):
         with pytest.raises(EvalDomainError, match="degenerate direction"):
@@ -181,7 +190,7 @@ class TestHexagon:
                 [0.0, -0.5],
             ]
         )
-        assert np.abs(fig.points - expected).max() <= 1e-9
+        assert np.abs([leg[-1] for leg in fig.legs] - expected).max() <= 1e-9
 
     def test_paper_fails_to_close(self, paper_web):
         fig = hexagon_defect(paper_web, (0.0, 0.0), 0.2)
@@ -196,17 +205,18 @@ class TestHexagon:
 
         levels = [value(i, O) for i in (1, 2, 3)]
         pattern = ((3, 2), (1, 3), (2, 1), (3, 2), (1, 3), (2, 1))
+        points = [leg[-1] for leg in fig.legs]  # P0..P6
         # P0 lies on the first foliation's leaf through the center
-        assert abs(value(1, fig.points[0]) - levels[0]) <= 1e-9
+        assert abs(value(1, points[0]) - levels[0]) <= 1e-9
         for i, (leg, target) in enumerate(pattern, start=1):
-            p_prev, p_cur = fig.points[i - 1], fig.points[i]
+            p_prev, p_cur = points[i - 1], points[i]
             leg_level = value(leg, p_prev)
             assert abs(value(leg, p_cur) - leg_level) <= 1e-9
             assert abs(value(target, p_cur) - levels[target - 1]) <= 1e-9
 
     def test_radius_walk_has_length_r(self, parallel_web):
         fig = hexagon_defect(parallel_web, (0.0, 0.0), 0.37)
-        d = math.hypot(fig.points[0][0], fig.points[0][1])
+        d = math.hypot(*fig.legs[0][-1])
         assert d == pytest.approx(0.37, abs=1e-9)
 
     def test_defect_scaling(self, paper_web):
@@ -290,8 +300,9 @@ class TestHexagon:
         assert len(fig.legs) == 7
         assert np.allclose(fig.legs[0][0], (0.0, 0.0))
         for i in range(1, 7):
-            assert np.allclose(fig.legs[i][0], fig.points[i - 1])
-            assert np.allclose(fig.legs[i][-1], fig.points[i])
+            assert np.array_equal(fig.legs[i][0], fig.legs[i - 1][-1])
+        p0, p6 = fig.legs[0][-1], fig.legs[6][-1]
+        assert fig.defect == math.hypot(p6[0] - p0[0], p6[1] - p0[1])
 
 
 def _refine_with(monkeypatch, step):
@@ -350,21 +361,27 @@ class TestCrossingRefinementExits:
         domain = Domain((-2.0, 2.0, -2.0, 2.0), parse("y+0.0575"), 1e-4)
         with pytest.raises(HexagonError) as exc:
             self.leg(-0.0575, domain=domain)
-        assert str(exc.value) == "leg crossing refinement left the admissible domain at (0, -0.0575)"
+        assert str(exc.value) == (
+            "leg crossing refinement failed: walk left the admissible domain at (0.0, -0.0575)"
+        )
 
     def test_gradient_collapse(self, monkeypatch):
         _refine_with(monkeypatch, lambda x, y, gx, gy, steps, level: (
             [], "gradient_collapse", (x, y)))
         with pytest.raises(HexagonError) as exc:
             self.leg(-0.0575)
-        assert str(exc.value) == "gradient collapse while refining a leg crossing"
+        assert str(exc.value) == (
+            "leg crossing refinement failed: gradient collapse walking leaf near (0.0, -0.05)"
+        )
 
     def test_projection_stall(self, monkeypatch):
         _refine_with(monkeypatch, lambda x, y, gx, gy, steps, level: (
             [], "projection_stall", (x, y - steps[0])))
         with pytest.raises(HexagonError) as exc:
             self.leg(-0.0575)
-        assert str(exc.value) == "level projection stalled while refining a leg crossing"
+        assert str(exc.value) == (
+            "leg crossing refinement failed: level projection stalled near (0.0, -0.0575)"
+        )
 
     def test_bracket_collapsed(self, monkeypatch):
         # the crossing is 1e-5 short of the far end: the first Newton step

@@ -10,11 +10,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from conftest import _random_expr
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import triweb
@@ -957,6 +960,55 @@ class TestParseCommand:
             assert main(["parse", "--at", "0.5", "0.5", "--", text]) in (0, 2, 3)
 
 
+def _integral_text(seed: int, depth: int, huge: bool) -> str:
+    """A random first integral: a ``conftest._random_expr`` tree, scaled by
+    1e200 when ``huge``, so that jets and reports overflow.  It is
+    bracketed, as argparse would read a leading "-" as a flag."""
+    text = triweb.to_text(_random_expr(np.random.default_rng(seed), depth))
+    return f"(1e200*({text}))" if huge else f"({text})"
+
+
+_INTEGRALS = st.one_of(  # x and y often, so that some webs are in normal form
+    st.sampled_from(["x", "y"]),
+    st.builds(_integral_text, st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans()),
+)
+
+
+class TestNoTraceback:
+    @settings(max_examples=200)
+    @given(
+        integrals=st.tuples(_INTEGRALS, _INTEGRALS, _INTEGRALS),
+        box=st.just(None),
+        map_spec=st.just(("identity",)),
+    )
+    # a nan pair determinant passed general position; a nan K and an
+    # infinite det J ended in a traceback after writing part of the outputs
+    @example(integrals=("1e200*(x+y)", "1e200*(x+y)", "x"), box=None, map_spec=("identity",))
+    @example(integrals=("x", "y", "1e200*x^2*y"), box=(0.5, 1, 0.5, 1), map_spec=("identity",))
+    @example(
+        integrals=("x", "y", "x+y"), box=(0.5, 1.5, 0.5, 1.5), map_spec=("1e200*x^2", "1e200*y")
+    )
+    def test_every_run_ends_in_an_exit_code(self, integrals, box, map_spec):
+        # a failed run (2 or 3) writes nothing; two equal integrals are never
+        # in general position, so verify-map cannot pass on them
+        small = ["--web", *integrals, "--grid", "3", "3"]
+        small += ["--box", *map(str, box)] if box else []
+        runs = (
+            ["analyze", *small],
+            ["verify-map", *small, "--map", *map_spec, "--seeds", "1", "--max-arc", "0.05"],
+        )
+        for argv in runs:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out"
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*argv, "--out", str(out)])
+                assert code in (0, 1, 2, 3), argv
+                assert out.exists() == (code in (0, 1)), argv
+            if argv[0] == "verify-map" and len(set(integrals)) < 3:
+                assert code != 0, argv
+
+
 class TestMoreCommandPaths:
     def test_verify_theorem_custom_map_skips_line_check(self, tmp_path):
         code = main(
@@ -1051,8 +1103,7 @@ class TestVerifyTheoremWeb:
         argv = ["--seeds", "2", "--max-arc", "0.5", "--out", str(tmp_path)]
         assert main(["verify-theorem", *argv]) == 0
         want = triweb.verify_linearization(seeds_per_foliation=2, max_arc=0.5)
-        triweb.outputs.dump_json(want.to_dict(), tmp_path / "want.json")
-        assert (tmp_path / "report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert (tmp_path / "report.json").read_text() == triweb.outputs.report_json(want.to_dict())
 
     @staticmethod
     def compiled(tmp_path, monkeypatch, argv) -> list:

@@ -17,8 +17,8 @@ import triweb.outputs
 from triweb.outputs import (
     _FOLIATION_COLORS,
     _g_text,
-    dump_json,
     fmt,
+    report_json,
     write_curvature_csv,
     write_defect_table_csv,
     write_hexagon_legs_csv,
@@ -26,6 +26,7 @@ from triweb.outputs import (
     write_svg,
 )
 from triweb.analysis import hexagon_defect
+from triweb.errors import NonFiniteError
 from triweb.web import Domain, LeafPolyline
 
 
@@ -210,24 +211,21 @@ class TestCoordinateTables:
         assert path.read_text() == f"x,y,K\n{want}"
 
 class TestJsonQuantization:
-    def test_rounding_and_floor(self, tmp_path):
-        p = tmp_path / "r.json"
-        dump_json(
-            {"a": 0.013533528323661281, "b": 8.59e-13, "c": [True, 3, "s", None]}, p
+    def test_rounding_and_floor(self):
+        data = json.loads(
+            report_json({"a": 0.013533528323661281, "b": 8.59e-13, "c": [True, 3, "s", None]})
         )
-        data = json.loads(p.read_text())
         assert data["a"] == 0.0135335283
         assert data["b"] == 0.0
         assert data["c"] == [True, 3, "s", None]
 
-    def test_non_finite_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-finite"):
-            dump_json({"bad": float("nan")}, tmp_path / "x.json")
+    def test_non_finite_rejected(self):
+        for v in (math.nan, math.inf, -np.inf):
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                report_json({"ok": 1.0, "bad": [v]})
 
-    def test_numpy_scalars_accepted(self, tmp_path):
-        p = tmp_path / "n.json"
-        dump_json({"v": np.float64(0.5), "n": np.int64(3)}, p)
-        assert json.loads(p.read_text()) == {"v": 0.5, "n": 3}
+    def test_numpy_scalars_accepted(self):
+        assert json.loads(report_json({"v": np.float64(0.5), "n": np.int64(3)})) == {"v": 0.5, "n": 3}
 
 
 class TestLeafCsv:

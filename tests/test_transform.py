@@ -122,6 +122,13 @@ class TestDiffeoReport:
         assert {x for x, _, _ in rep.failures} == {0.0}
 
 
+    def test_nan_det_fails(self):
+        # det J is inf - inf = nan at every point
+        m = PlaneMap(Foliation(parse("1e200*(x+y)")), Foliation(parse("1e200*(x+y)")))
+        rep = diffeo_report(m, Domain().survey((3, 3)))
+        assert not rep.verdict and math.isnan(rep.min_abs_det) and rep.n_failures == 9
+
+
 class TestPushPolyline:
     def test_identity_is_exact(self, paper_web, free_box):
         leaf = trace_leaf(paper_web.foliation(3), (1.0, 1.0), 2.0, free_box, 3)

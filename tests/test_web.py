@@ -34,6 +34,7 @@ from triweb.web import (
     DEFAULT_GRID,
     EPS_GRAD,
     H_STEP,
+    MAX_LISTED_FAILURES,
     PROJ_MAX_ITER,
     PROJ_TOL,
     TOL_LEVEL,
@@ -97,11 +98,9 @@ class TestDomain:
         xs, ys = np.array([-1.0, -0.5, 0.0]), np.zeros(3)
         s = Survey(xs, ys, 3, 3, 1)
         assert not (s.xs.flags.writeable or s.ys.flags.writeable)
-        # neither the survey nor a report on it freezes the caller's arrays,
-        # and the curvature grid hands back the survey's own coordinates
+        # neither the survey nor a report on it freezes the caller's arrays
         rep = parallelizability_report(paper_web, s)
-        xs_k, ys_k, _ = curvature_grid(paper_web, s)
-        assert xs_k is s.xs and ys_k is s.ys and not rep.kappa.flags.writeable
+        assert rep.kappa.size == 3 and not rep.kappa.flags.writeable
         assert xs.flags.writeable and ys.flags.writeable
 
     def test_unevaluable_exclusion_means_inadmissible(self):
@@ -201,6 +200,14 @@ class TestGeneralPosition:
         assert {f.x for f in rep.failures} == {0.0}
         assert {f.check for f in rep.failures} == {"pair13"}
 
+    def test_coinciding_foliations_fail(self):
+        # each pair-1-2 determinant is inf - inf = nan, which fails, and so
+        # does the grid minimum
+        w = ThreeWeb.from_integrals(("1e200*(x+y)", "1e200*(x+y)", "x"), Domain())
+        rep = general_position_report(w, w.domain.survey((4, 3)))
+        assert not rep.verdict and math.isnan(rep.min_pairwise_det)
+        assert rep.n_failures == 12 and {f.check for f in rep.failures} == {"pair12"}
+
     def test_eval_errors_carry_point(self):
         w = ThreeWeb(
             (
@@ -254,13 +261,35 @@ class TestChunkedSurvey:
         def run():
             s = paper_web.domain.survey((21, 19))
             on_locus = self.reports(locus, locus.domain.survey((33, 33)))
-            return on_locus, self.reports(paper_web, s), curvature_grid(paper_web, s)[2]
+            return on_locus, self.reports(paper_web, s), curvature_grid(paper_web, s)
 
         whole = run()
         monkeypatch.setattr(triweb.kernels, "_CHUNK", 5)
         chunked = run()
         assert chunked[:2] == whole[:2] and whole[0][0]["n_failures"] > 0
         assert np.array_equal(chunked[2], whole[2])
+
+    def test_reports_list_the_first_failures_and_count_all(self, monkeypatch):
+        # every pair fails at each of 400 points; the reports list the first
+        # MAX_LISTED_FAILURES by (x, y, check), whatever the chunk
+        w = ThreeWeb.from_integrals(("x", "x+1e-9*y", "x+2e-9*y"), Domain())
+        s = w.domain.survey((20, 20))
+        points = sorted(zip(s.xs.tolist(), s.ys.tolist()))
+        checks = [(x, y, c) for x, y in points for c in ("pair12", "pair13", "pair23")]
+
+        def run():
+            gp = general_position_report(w, s)
+            dif = diffeo_report(PlaneMap(*w.foliations[:2]), s)
+            assert (gp.n_failures, dif.n_failures) == (1200, 400)
+            assert [(f.x, f.y, f.check) for f in gp.failures] == checks[:MAX_LISTED_FAILURES]
+            assert [(x, y) for x, y, _ in dif.failures] == points[:MAX_LISTED_FAILURES]
+            return gp.to_dict(), dif.to_dict()
+
+        whole = run()
+        for chunk in (7, 100, 399):
+            monkeypatch.setattr(triweb.kernels, "_CHUNK", chunk)
+            assert run() == whole
+        assert whole[0]["n_failures"] == 1200 and len(whole[0]["failing_points"]) == 100
 
     def test_survey_does_not_depend_on_the_chunk(self, paper_web, small_chunks):
         d = paper_web.domain
