@@ -44,6 +44,7 @@ HEX_NEWTON_TOL = 1e-10  # target |u_k - u_k(O)| at each leg endpoint
 # leg pattern: (foliation to follow, foliation whose center leaf to hit)
 _LEG_PATTERN = ((3, 2), (1, 3), (2, 1), (3, 2), (1, 3), (2, 1))
 
+
 def blaschke_curvature(web: ThreeWeb, p) -> float:
     """Curvature of a normal-form web at one point: :func:`curvature_grid` on a one-point survey."""
     point = Survey(np.array([float(p[0])]), np.array([float(p[1])]), 1, 1, 1)
@@ -84,22 +85,19 @@ def curvature_grid(web: ThreeWeb, survey: Survey) -> np.ndarray:
     if not web.is_normal_form:
         raise NormalFormError("curvature grid requires a normal-form web")
     prog = web.foliation(3).program
-    kappa, bad = np.empty(survey.xs.size), None  # (survey index, why) of the first bad point
+    kappa, degen = np.empty(survey.xs.size), np.empty(survey.xs.size, dtype=bool)
     for part, (c,) in survey.jets([prog], order=3):
-        if bad is not None:
-            continue  # the pass goes on so that a later jet failure still raises first
         fx, fy, fxx, fxy, fyy, fxxy, fxyy = (c[:, k] for k in (1, 2, 3, 4, 5, 7, 8))
-        degen = (np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS)
+        degen[part] = (np.abs(fx) < DEGENERATE_EPS) | (np.abs(fy) < DEGENERATE_EPS)
         with np.errstate(all="ignore"):  # a bad point is raised below, not warned about
             t1 = (fxxy * fx - fxx * fxy) / (fx * fx)
             t2 = (fxyy * fy - fxy * fyy) / (fy * fy)
             kappa[part] = (t1 - t2) / (fx * fy)
-        at = np.flatnonzero(degen | ~np.isfinite(kappa[part]))
-        if at.size:
-            why = "degenerate direction: web-function partial below 1e-12"
-            bad = part.start + int(at[0]), why if degen[at[0]] else "non-finite curvature"
-    if bad is not None:
-        i, why = bad
+    bad = np.flatnonzero(degen | ~np.isfinite(kappa))  # after the pass: a jet failure comes first
+    if bad.size:
+        i = int(bad[0])
+        why = ("degenerate direction: web-function partial below 1e-12" if degen[i]
+               else "non-finite curvature")
         raise EvalDomainError(why, prog.source, (float(survey.xs[i]), float(survey.ys[i])))
     return kappa
 

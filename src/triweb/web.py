@@ -401,10 +401,10 @@ MAX_LISTED_FAILURES = 100  # failing points a grid report lists; it counts every
 
 
 def first_failures(kept: list, xs, ys, ranks, values) -> list:
-    """The first MAX_LISTED_FAILURES of the failures ``kept`` and those at
-    the points (xs, ys), as (x, y, rank, value) tuples in (x, y, rank)
-    order, one point and rank failing once: the same for any split of a
-    survey into chunks."""
+    """The first MAX_LISTED_FAILURES, as (x, y, rank, value) tuples in
+    (x, y, rank) order, of the failures ``kept`` and the new ones at the
+    points (xs, ys).  A point fails each rank at most once, so the result
+    does not depend on how a survey is split into chunks."""
     order = np.lexsort((ranks, ys, xs))[:MAX_LISTED_FAILURES]
     new = zip(*(a[order].tolist() for a in (xs, ys, ranks, values)))
     return sorted([*kept, *new])[:MAX_LISTED_FAILURES]

@@ -121,7 +121,6 @@ class TestDiffeoReport:
         assert not rep.verdict
         assert {x for x, _, _ in rep.failures} == {0.0}
 
-
     def test_nan_det_fails(self):
         # det J is inf - inf = nan at every point
         m = PlaneMap(Foliation(parse("1e200*(x+y)")), Foliation(parse("1e200*(x+y)")))
